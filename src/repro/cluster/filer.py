@@ -14,6 +14,8 @@ the disk.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.cluster.fscache import SetAssociativeCache
@@ -52,6 +54,8 @@ class Filer:
         self.link = link
         self.cache = cache
         self.disk_bytes_read = 0
+        #: Filler lines pushed through the cache by :meth:`age_cache`.
+        self._age_counter = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     # -- cache interface (block granularity) -----------------------------------
@@ -100,10 +104,11 @@ class Filer:
         cache is shared by all accesses to the filer's eight disks)."""
         if self.cache is None or nbytes <= 0:
             return
-        lines = nbytes // self.cache.line_bytes
-        for i in range(int(lines)):
-            self._age_counter = getattr(self, "_age_counter", 0) + 1
-            self.cache.insert_line(("__aging__", self._age_counter))
+        first = self._age_counter + 1
+        self._age_counter += nbytes // self.cache.line_bytes
+        self.cache.insert_fillers(
+            zip(repeat("__aging__"), range(first, self._age_counter + 1))
+        )
 
     # -- latency helpers ----------------------------------------------------------
     def request_arrival_delay(self) -> float:

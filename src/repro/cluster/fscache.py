@@ -10,6 +10,14 @@ aligned groups of lines).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
+import numpy as np
+
+#: The one tag every filler line carries (see
+#: :meth:`SetAssociativeCache.insert_fillers`); it equals no real key.
+FILLER = object()
+
 
 class SetAssociativeCache:
     """A W-way set-associative LRU cache over (stream, line) keys.
@@ -74,6 +82,25 @@ class SetAssociativeCache:
         """Probe without touching LRU order or counters."""
         idx, tag = self._index(key)
         return tag in self._sets[idx]
+
+    def insert_fillers(self, keys: Iterable[tuple]) -> None:
+        """Install one line per key, none of which is ever probed again.
+
+        Equals :meth:`insert_line` on each key in turn, provided every key
+        is new to the cache: a set that receives ``m`` of them becomes
+        ``(s + fillers)[-ways:]``, so ``m >= ways`` flushes it and a smaller
+        ``m`` evicts its ``m`` least recent lines.  The keys only choose
+        their sets; one shared :data:`FILLER` tag stands in for them all.
+        """
+        idx = np.fromiter(map(hash, keys), dtype=np.int64)
+        idx %= self.n_sets
+        ways = self.ways
+        counts = np.bincount(idx, minlength=self.n_sets)
+        # More than ``ways`` fillers leave the same set as ``ways`` do.
+        fills = [[FILLER] * m for m in range(ways + 1)]
+        for s, m in zip(self._sets, np.minimum(counts, ways).tolist()):
+            s += fills[m]
+            del s[:-ways]
 
     # -- whole-range helpers -----------------------------------------------------
     def lookup_range(self, stream, offset: int, nbytes: int) -> float:

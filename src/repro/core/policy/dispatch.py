@@ -245,11 +245,7 @@ class AdaptiveDispatch:
             # Callers pass the true start (request arrival / in-flight end);
             # the previous batch's `ready` is stale after a cancellation.
             run.batch_start = t_start
-            run.completions = run.svc.completions(
-                services,
-                t_start,
-                reqs_per_item=run.svc.requests_per_block(cfg.block_bytes),
-            )
+            run.completions = run.svc.completions(services, t_start)
             # What the client *observes*: wall time per block including
             # background dilation — the honest basis for steal decisions.
             run.avg_block_s = (float(run.completions[-1]) - t_start) / frac_total

@@ -16,7 +16,7 @@ this module computes the identical quantities in closed form with numpy:
   fairly at request granularity.  Foreground completion times satisfy the
   fixed point  ``C_i = start + S_i + B(J_i) + J_i * pen`` with
   ``J_i = #arrivals before C_i``; the monotone iteration converges in a few
-  rounds and is fully vectorised.  ``pen`` is the repositioning penalty the
+  rounds (a few hundred near saturation) and is fully vectorised.  ``pen`` is the repositioning penalty the
   foreground stream pays after each interruption (only sequential streams
   lose anything).
 
@@ -33,6 +33,10 @@ import numpy as np
 from repro.disk.geometry import SECTOR_BYTES
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.workload import BACKGROUND_SECTORS, InDiskLayout
+
+
+class FixedPointError(ArithmeticError):
+    """The background-interleave fixed point did not converge."""
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,6 @@ class BlockService:
         return params
 
     # -- queue completion times --------------------------------------------------
-    def requests_per_block(self, block_bytes: int) -> int:
-        """Physical requests per data block at this disk's blocking factor."""
-        return self._block_params(block_bytes)[1]
-
     #: Minimum service share the drive's scheduler guarantees the
     #: foreground stream: an over-saturating background queue backs up
     #: instead of starving other streams.  Calibrated so a 6 ms-interval
@@ -189,9 +189,16 @@ class BlockService:
     #: sequential foreground ~2 MB/s, matching Fig 6-5.
     MIN_FOREGROUND_SHARE = 0.05
 
-    def completions(
-        self, services: np.ndarray, start: float, reqs_per_item: int = 1
-    ) -> np.ndarray:
+    #: Round cap of the background-interleave fixed point.  The monotone
+    #: iteration settles in a few rounds at light load and in a few hundred
+    #: near the ``MIN_FOREGROUND_SHARE`` floor (~370 for 1024 blocks at a
+    #: 4 ms interval); reaching the cap raises :class:`FixedPointError`.
+    MAX_FIXED_POINT_ROUNDS = 500
+    #: The fixed point has converged once no completion moved by more than
+    #: this many seconds in a round.
+    FIXED_POINT_ATOL = 1e-12
+
+    def completions(self, services: np.ndarray, start: float) -> np.ndarray:
         """Completion time of each queued block, background interleaved.
 
         ``services`` is the nominal per-block service vector (queue order);
@@ -235,21 +242,50 @@ class BlockService:
         bg_draws = bg.sample_services(est, self.mechanics, self.spt, self.rng)
         b_cum = np.concatenate([[0.0], np.cumsum(bg_draws)])
 
+        # Fixed point C = s_cum + b_cum[J] + J * pen, J = arrivals before C.
+        # The arrays are a handful of blocks long, so each round is a few
+        # in-place ufuncs over preallocated buffers; the float operations
+        # and their order are those of the plain expressions in the comments.
+        n = s_cum.size
         c = s_cum.copy()
-        for _ in range(500):
-            j = np.floor((c - phase) / interval).astype(np.int64) + 1
-            np.clip(j, 0, None, out=j)
+        c_new = np.empty(n)
+        x = np.empty(n)
+        jpen = np.empty(n)
+        j = np.empty(n, dtype=np.int64)
+        atol = self.FIXED_POINT_ATOL
+        for _ in range(self.MAX_FIXED_POINT_ROUNDS):
+            # j = max(floor((c - phase) / interval) + 1, 0)
+            np.subtract(c, phase, out=x)
+            x /= interval
+            np.floor(x, out=x)
+            np.copyto(j, x, casting="unsafe")
+            j += 1
+            np.maximum(j, 0, out=j)
             if j[-1] >= b_cum.size - 1:
                 more = bg.sample_services(
                     int(j[-1] - b_cum.size + 2 + 64), self.mechanics, self.spt, self.rng
                 )
                 b_cum = np.concatenate([b_cum, b_cum[-1] + np.cumsum(more)])
-            c_new = s_cum + b_cum[j] + j * pen
-            if np.allclose(c_new, c, rtol=0, atol=1e-12):
-                c = c_new
-                break
-            c = c_new
-        return self._warp(c, start)
+            # c_new = s_cum + b_cum[j] + j * pen
+            np.take(b_cum, j, out=c_new)
+            c_new += s_cum
+            np.multiply(j, pen, out=jpen)
+            c_new += jpen
+            # Converged iff every |c_new - c| <= atol: allclose with rtol=0
+            # when every value is finite.  Only a nan maximum (an inf in the
+            # same place in both) may still be close, and allclose decides.
+            np.subtract(c_new, c, out=x)
+            np.abs(x, out=x)
+            worst = x.max()
+            c, c_new = c_new, c
+            if not worst > atol and (
+                worst <= atol or np.allclose(c, c_new, rtol=0, atol=atol)
+            ):
+                return self._warp(c, start)
+        raise FixedPointError(
+            f"background interleave did not converge in {self.MAX_FIXED_POINT_ROUNDS} "
+            f"rounds ({n} blocks, interval {interval:.6g} s)"
+        )
 
     def _warp(self, completions: np.ndarray, start: float) -> np.ndarray:
         """Apply the disk's fault profile (identity when no timeline)."""
@@ -261,11 +297,7 @@ class BlockService:
         self, n_blocks: int, block_bytes: int, start: float
     ) -> np.ndarray:
         """Sample services and return queue completion times in one call."""
-        return self.completions(
-            self.block_service_times(n_blocks, block_bytes),
-            start,
-            reqs_per_item=self.requests_per_block(block_bytes),
-        )
+        return self.completions(self.block_service_times(n_blocks, block_bytes), start)
 
 
 def served_before(completions: np.ndarray, cancel_time: float) -> int:

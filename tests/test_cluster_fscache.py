@@ -1,7 +1,14 @@
 """Tests for the set-associative filesystem cache."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cluster.fscache import SetAssociativeCache
 
 
@@ -93,3 +100,35 @@ def test_contains_does_not_touch_counters_or_lru():
     c.insert_line("c")  # evicts true LRU = a
     assert not c.contains_line("a")
     assert c.hits == 0 and c.misses == 0
+
+
+# A 4-disk read-after-write with the paper's 2 GB filer cache: which block
+# lines collide in a set, and so survive the aging window, depends on hash().
+_RAW_RUN = """
+import json
+from repro.core.access import MB, AccessConfig
+from repro.experiments.harness import TrialPlan, run_scheme
+access = AccessConfig(data_bytes=8 * MB, block_bytes=MB, n_disks=4, redundancy=2.0)
+plan = TrialPlan(access=access, mode="raw", background="heterogeneous",
+                 fs_cache_bytes=2 << 30, seed=0, trials=1, engine="closed")
+print(json.dumps([r.to_jsonable() for r in run_scheme(plan, "robustore")]))
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="fscache._index places lines by hash() of (file name, block) tuples, "
+    "which PYTHONHASHSEED salts; a stable index changes every cached digest",
+)
+def test_cached_results_do_not_depend_on_hash_seed():
+    src = str(Path(repro.__file__).resolve().parents[1])
+
+    def run(hash_seed: str) -> list:
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", _RAW_RUN], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        return json.loads(out.stdout)
+
+    assert run("0") == run("1")
