@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -90,37 +91,29 @@ class _DiskRun:
     svc: BlockService
     one_way: float
     batch_ids: list[int] = field(default_factory=list)
-    #: ``batch_ids`` as an array, for vectorised eligibility counting.
-    ids_arr: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    #: ``H[batch_ids].cumsum(axis=0)``: ``hold_cum[i, d]`` counts batch
-    #: blocks among the first ``i+1`` that disk ``d`` holds replicas of,
-    #: so the victim scan reads any thief's pending-eligible count with
-    #: two scalar lookups instead of a fancy-index per candidate.
-    hold_cum: np.ndarray | None = None
     completions: np.ndarray = field(default_factory=lambda: np.empty(0))
+    #: ``(t_client, id)`` of each live-batch block, in batch order; a
+    #: cancellation truncates it to the blocks served before the cancel.
+    segment: list[tuple[float, int]] = field(default_factory=list)
     ready: float = 0.0
     version: int = 0
     batch_start: float = 0.0
     avg_block_s: float = float("inf")  # client's observed per-block time
 
-    def pending_at(self, t: float) -> tuple[int, list[int]]:
-        """(#fully served, ids not fully received) at time ``t``.
+    def cancel_point(self, t: float) -> tuple[int, int | None]:
+        """(#fully served, id of the block in service) at time ``t``.
 
         The block in flight at ``t`` counts as *unreceived*: cancellation
         works at physical-request granularity (§5.3.3), so a partially
         transferred block can be abandoned and re-requested elsewhere.
+        It sits at position ``done``; ``None`` when nothing is in service.
         """
-        done = int(self.completions.searchsorted(t, side="right"))
-        return done, self.batch_ids[done:]
-
-    def inflight_at(self, t: float) -> int | None:
-        """Id of the block being served at ``t``, if any."""
         done = int(self.completions.searchsorted(t, side="right"))
         if done < len(self.batch_ids):
             start = float(self.completions[done - 1]) if done > 0 else self.batch_start
             if start < t:  # its service actually began before t
-                return self.batch_ids[done]
-        return None
+                return done, self.batch_ids[done]
+        return done, None
 
 
 class AdaptiveDispatch:
@@ -139,6 +132,14 @@ class AdaptiveDispatch:
     disk's primaries are its own stored blocks, so the engine degenerates
     to one uncancelled round — the honest cost of pairing a coded layout
     with physical-granularity hand-offs.
+
+    **Invariant: a unit sits in at most one live batch.**  Primaries are
+    disjoint, a hand-off splits the victim's unserved units between the
+    victim's new batch and the thief's, and a served unit never moves
+    again.  The bookkeeping rests on it: one per-unit queue index
+    (``q_comp``/``q_owner``) answers every victim scan with a single vector
+    count, and each run's arrivals form a segment that a cancellation
+    merely truncates.
     """
 
     #: The event-driven wrapper keys its steal loop off this flag.
@@ -148,6 +149,7 @@ class AdaptiveDispatch:
         cfg = scheme.config
         completion = spec.completion
         disks = plan.disk_ids
+        n_runs = len(disks)
         file_name = record.name
         rng_for = scheme.service_rng_factory(trial, "read")
         t0 = scheme.open_latency()
@@ -159,23 +161,29 @@ class AdaptiveDispatch:
         primaries, holder_map = spec.placement.adaptive_units(cfg, record)
         primaries = [[int(b) for b in ids] for ids in primaries]
 
-        def holders(block: int) -> set[int]:
-            """Disk indices holding a copy of ``block``."""
-            return holder_map.get(block, set())
-
-        # Dense holder matrix: H[unit, disk idx] — lets the victim scan
-        # count a disk's eligible pending units in one vector op instead
-        # of a per-unit set probe.
         if holder_map:
             n_units = 1 + max(
                 max(holder_map),
                 max((max(ids) for ids in primaries if ids), default=0),
             )
-            H = np.zeros((n_units, len(disks)), dtype=bool)
-            for unit, holder_set in holder_map.items():
-                H[unit, list(holder_set)] = True
+            # Dense holder matrix, disk-major: HT[disk idx, unit], filled
+            # from the (holder, unit) pairs in C-level iteration.
+            units = np.fromiter(holder_map, dtype=np.intp, count=len(holder_map))
+            n_holders = np.fromiter(
+                map(len, holder_map.values()), dtype=np.intp, count=len(units)
+            )
+            holder_idx = np.fromiter(
+                chain.from_iterable(holder_map.values()), dtype=np.intp
+            )
+            HT = np.zeros((n_runs, n_units), dtype=bool)
+            HT[holder_idx, np.repeat(units, n_holders)] = True
+            # Per-unit queue index over the live batches: q_comp[u] is the
+            # unit's completion time in its live batch (-inf when no batch
+            # holds it), q_owner[u] the run serving it.
+            q_comp = np.full(n_units, -np.inf)
+            q_owner = np.zeros(n_units, dtype=np.intp)
         else:
-            H = None  # single-holder layout: nothing is ever eligible
+            HT = None  # single-holder layout: nothing is ever eligible
 
         phase_rng_for = getattr(rng_for, "phase_rng_for", None)
         runs: list[_DiskRun] = []
@@ -197,11 +205,9 @@ class AdaptiveDispatch:
                 )
             )
 
-        # Victim-scan index: ready_arr[i] mirrors runs[i].ready for runs
-        # with a live batch and -inf for drained ones, so one vectorised
-        # compare yields the runs worth scanning at a decision point.
-        ready_arr = np.full(len(runs), -np.inf)
-        arrivals: list[tuple[float, int]] = []
+        # Arrivals outside any live batch: cache hits, blocks a victim
+        # finished after a cancel, and the segments of replaced batches.
+        settled: list[tuple[float, int]] = []
         events: list[tuple[float, int, int]] = []  # (finish, disk idx, version)
         rounds = 1
         blocks_fetched = 0
@@ -217,23 +223,23 @@ class AdaptiveDispatch:
         def serve_batch(run: _DiskRun, ids: list[int], t_start: float) -> None:
             nonlocal blocks_fetched, partial_bytes
             run.version += 1
+            # The replaced batch leaves the queue index; what it delivered
+            # (a cancel already truncated its segment) is settled.
+            if HT is not None and run.batch_ids:
+                q_comp[run.batch_ids] = -np.inf
+            settled.extend(run.segment)
             # Callers pass fresh lists of native ints (primaries are
             # normalised once, steal/keep are new listcomps), so the batch
             # adopts the list without a per-element conversion pass.
             run.batch_ids = ids
-            run.ids_arr = np.asarray(ids, dtype=np.int64)
             if not ids:
                 # Drained by theft: the disk is idle *now* and must still
                 # get its hand-off decision, or it would never steal again.
                 run.completions = np.empty(0)
+                run.segment = []
                 run.ready = t_start
-                ready_arr[run.idx] = -np.inf
                 heapq.heappush(events, (t_start, run.idx, run.version))
                 return
-            ids = run.batch_ids
-            run.hold_cum = (
-                H[run.ids_arr].cumsum(axis=0, dtype=np.int32) if H is not None else None
-            )
             services = run.svc.block_service_times(len(ids), cfg.block_bytes)
             if frac:
                 # x * 1.0 is exact, so skipping the multiply when no block
@@ -246,6 +252,9 @@ class AdaptiveDispatch:
             # the previous batch's `ready` is stale after a cancellation.
             run.batch_start = t_start
             run.completions = run.svc.completions(services, t_start)
+            if HT is not None:
+                q_comp[ids] = run.completions
+                q_owner[ids] = run.idx
             # What the client *observes*: wall time per block including
             # background dilation — the honest basis for steal decisions.
             run.avg_block_s = (float(run.completions[-1]) - t_start) / frac_total
@@ -258,13 +267,12 @@ class AdaptiveDispatch:
                 ),
                 dtype=np.float64,
             )
-            # C-level bulk append/merge: zip builds the (t, bid) tuples and
+            # C-level bulk build/merge: zip builds the (t, bid) tuples and
             # fromkeys the served_by entries without a Python-level loop.
-            arrivals.extend(zip(t_clients.tolist(), ids))
+            run.segment = list(zip(t_clients.tolist(), ids))
             served_by.update(dict.fromkeys(ids, run.idx))
             blocks_fetched += len(ids)
             run.ready = float(run.completions[-1])
-            ready_arr[run.idx] = run.ready
             if tracer.enabled and np.isfinite(run.ready):
                 tracer.span(
                     "drive.batch",
@@ -288,7 +296,7 @@ class AdaptiveDispatch:
                 t_client = response_arrival_times(
                     scheme.cluster, run.disk_id, run.ready, run.one_way
                 )
-                arrivals.append((float(t_client), int(b)))
+                settled.append((float(t_client), int(b)))
                 served_by[int(b)] = idx
             filer.record_read(file_name, hit_ids, cfg.block_bytes)
             cache_hits += len(hit_ids)
@@ -298,40 +306,28 @@ class AdaptiveDispatch:
         # Adaptive hand-offs.  The budget is a safety valve far above any
         # sane hand-off count: past it the client stops re-planning and
         # lets the outstanding queues drain.
-        handoff_budget = 50 * len(disks)
+        handoff_budget = 50 * n_runs
         while events:
             finish, a_idx, version = heapq.heappop(events)
             a = runs[a_idx]
             if version != a.version:
                 continue  # stale: this disk's plan was revised
-            if rounds > handoff_budget:
+            if rounds > handoff_budget or HT is None:
                 continue
             t_dec = finish + a.one_way  # client learns disk A drained
 
-            # Victim: most unserved blocks that A holds replicas of.  The
-            # strict ``>`` keeps the seed's first-wins tie-breaking; only
-            # the count matters for selection, so the eligible *list* is
-            # materialised for the winner alone (below, at t_cancel).
-            best_b, best_cnt = None, 0
-            if H is not None:
-                # Drained runs are the common case late in the access: one
-                # vectorised compare over the ready index yields only the
-                # runs still serving past t_dec (side="right" below makes
-                # ready <= t_dec exactly the all-served condition, and
-                # drained/empty runs sit at -inf), in index order — the
-                # same first-wins tie-breaking as the full scan.
-                for b_idx in np.nonzero(ready_arr > t_dec)[0].tolist():
-                    if b_idx == a_idx:
-                        continue
-                    b = runs[b_idx]
-                    done = int(b.completions.searchsorted(t_dec, side="right"))
-                    cum = b.hold_cum
-                    cnt = int(cum[-1, a_idx])
-                    if done:
-                        cnt -= int(cum[done - 1, a_idx])
-                    if cnt > best_cnt:
-                        best_b, best_cnt = b_idx, cnt
-            if best_b is None:
+            # Victim: most units still unserved at t_dec that A holds.  A
+            # batch's completions are non-decreasing, so a unit with
+            # q_comp > t_dec is exactly one the per-batch count
+            # ``len - searchsorted(t_dec, side="right")`` would include;
+            # argmax takes the first maximum (lowest disk index wins ties).
+            eligible = q_comp > t_dec
+            eligible &= HT[a_idx]
+            counts = np.bincount(q_owner[eligible], minlength=n_runs)
+            counts[a_idx] = 0
+            best_b = int(counts.argmax())
+            best_cnt = int(counts[best_b])
+            if not best_cnt:
                 continue  # nothing worth stealing; A idles
 
             b = runs[best_b]
@@ -353,9 +349,11 @@ class AdaptiveDispatch:
                         "eligible": best_cnt,
                     },
                 )
-            done, remaining = b.pending_at(t_cancel)
-            inflight = b.inflight_at(t_cancel)
-            elig = [x for x in remaining if a_idx in holders(x)]
+            done, inflight = b.cancel_point(t_cancel)
+            remaining = b.batch_ids[done:]
+            elig = [
+                x for x, held in zip(remaining, HT[a_idx, remaining].tolist()) if held
+            ]
             steal_set = set(elig[len(elig) // 2 :])  # the second half
             if len(elig) == 1:
                 # Hand-off of a victim's last block: only worthwhile when
@@ -365,8 +363,7 @@ class AdaptiveDispatch:
                 x = elig[0]
                 f = frac.get(x, 1.0)
                 if x == inflight:
-                    pos_x = b.batch_ids.index(x)
-                    victim_left = float(b.completions[pos_x]) - t_cancel
+                    victim_left = float(b.completions[done]) - t_cancel
                 else:
                     victim_left = b.avg_block_s * f
                 thief_time = a.avg_block_s * f + 3 * a.one_way
@@ -377,14 +374,10 @@ class AdaptiveDispatch:
             steal = [x for x in remaining if x in steal_set]
             keep = [x for x in remaining if x not in steal_set]
 
-            # Remove the stale arrivals B would have produced for its
+            # Drop the stale arrivals B would have produced for its
             # cancelled tail (and its kept blocks, which get re-timed).
-            # One filtering pass drops every match — the same set the
-            # seed's repeated ``list.remove`` deleted, without the O(n²).
-            cancelled = set(remaining)
-            n_before = len(arrivals)
-            arrivals[:] = [item for item in arrivals if item[1] not in cancelled]
-            blocks_fetched -= n_before - len(arrivals)
+            del b.segment[done:]
+            blocks_fetched -= len(remaining)
 
             # The block B is transferring when the cancel lands: if stolen,
             # only its unfetched fraction moves (plain-text replicas can be
@@ -392,13 +385,12 @@ class AdaptiveDispatch:
             # finishes it undisturbed.
             b_start = t_cancel
             if inflight is not None:
-                pos = b.batch_ids.index(inflight)
-                c_if = float(b.completions[pos])
+                c_if = float(b.completions[done])
                 if inflight in steal_set:
                     # A failed victim (infinite completion) made no
                     # progress: the whole block moves.
                     if np.isfinite(c_if):
-                        start_if = float(b.completions[pos - 1]) if pos > 0 else t_cancel
+                        start_if = float(b.completions[done - 1]) if done > 0 else t_cancel
                         dur = max(c_if - start_if, 1e-12)
                         left = min(1.0, max(0.0, (c_if - t_cancel) / dur))
                         before = frac.get(inflight, 1.0)
@@ -408,7 +400,7 @@ class AdaptiveDispatch:
                     t_client = response_arrival_times(
                         scheme.cluster, b.disk_id, c_if, b.one_way
                     )
-                    arrivals.append((float(t_client), int(inflight)))
+                    settled.append((float(t_client), int(inflight)))
                     blocks_fetched += 1
                     keep = [x for x in keep if x != inflight]
                     b_start = c_if
@@ -416,7 +408,11 @@ class AdaptiveDispatch:
             serve_batch(a, steal, t_dec + a.one_way)
 
         # Completion: feed arrivals to the composition's tracker in order,
-        # through the access-core's one consumption loop.
+        # through the access-core's one consumption loop.  The (t, id) sort
+        # makes the order of the concatenation irrelevant.
+        arrivals = settled
+        for run in runs:
+            arrivals.extend(run.segment)
         arrivals.sort()
         tracker = completion.tracker(scheme, record, plan)
         if arrivals:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.core.pipeline import PolicyScheme
 from repro.core.policy.compose import composition
-from repro.core.policy.dispatch import _DiskRun  # noqa: F401  (re-export)
 from repro.core.rraid_s import RRaidSScheme
 
 
