@@ -34,7 +34,6 @@ from repro.accesscore.timeline import (
 from repro.accesscore.tracing import trace_read_summary
 from repro.disk.drive import DiskDrive, DiskRequest
 from repro.disk.geometry import SECTOR_BYTES
-from repro.disk.mechanics import DiskMechanics
 from repro.disk.workload import BackgroundWorkload
 from repro.sim import Environment, Store
 from repro.sim.rng import stable_seed
@@ -87,8 +86,8 @@ class EventDrive:
         # sector-level timing so both engines draw from one distribution.
         self.drive = DiskDrive(
             env,
-            DiskMechanics(),
-            np.random.default_rng(0),
+            cluster.mechanics,
+            None,
             scheduler="fair",
             service_time_fn=self._service_time,
         )
@@ -104,16 +103,13 @@ class EventDrive:
             )
 
     def _service_time(self, req: DiskRequest) -> float:
+        svc = self.svc
         if req.is_background:
-            bg = self.svc.background
+            bg = svc.background
             if bg is not None:
-                return float(
-                    bg.sample_services(
-                        1, self.svc.mechanics, self.svc.spt, self.svc.rng
-                    )[0]
-                )
+                return bg.sample_service(svc.mechanics, svc.spt, svc.rng)
             return 0.005
-        return float(self.svc.block_service_times(1, self.block_bytes)[0])
+        return float(svc.block_service_times(1, self.block_bytes)[0])
 
     def submit_block(self, tag) -> DiskRequest:
         sectors = max(1, self.block_bytes // SECTOR_BYTES)

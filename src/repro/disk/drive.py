@@ -70,7 +70,9 @@ class DiskDrive:
     mechanics:
         Mechanical model (shared geometry).
     rng:
-        Random stream for seek distances / rotational phases.
+        Random stream for seek distances / rotational phases.  May be
+        ``None`` when ``service_time_fn`` replaces the sector-level timing,
+        which is the only consumer of the stream.
     scheduler:
         Queue discipline name: ``fcfs``, ``sstf`` or ``elevator``.
     cache:
@@ -81,11 +83,13 @@ class DiskDrive:
         self,
         env: Environment,
         mechanics: DiskMechanics,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         scheduler: str = "fcfs",
         cache: SegmentCache | None = None,
         service_time_fn: Optional[Callable[["DiskRequest"], float]] = None,
     ) -> None:
+        if rng is None and service_time_fn is None:
+            raise ValueError("a drive without service_time_fn needs an rng")
         self.env = env
         self.mechanics = mechanics
         self.rng = rng
@@ -124,7 +128,7 @@ class DiskDrive:
         if self.failed:
             request.done.succeed(float("inf"))
             return request
-        request.cylinder = int(self.mechanics.geometry.cylinder_of_lba(request.lba))
+        request.cylinder = self.mechanics.geometry.cylinder_of(request.lba)
         self.queue.push(request)
         if self.tracer.enabled:
             self.tracer.counter(
@@ -295,6 +299,8 @@ class DiskDrive:
     def _service_time(self, req: DiskRequest) -> float:
         if self.service_time_fn is not None:
             return self.service_time_fn(req)
+        if self.rng is None:
+            raise RuntimeError("sector-level service timing needs an rng")
         mech = self.mechanics
         spec = mech.spec
         t = spec.controller_overhead_s
@@ -315,9 +321,7 @@ class DiskDrive:
         spt = int(mech.geometry.spt_of_lba(req.lba))
         t += float(mech.transfer_time(req.sectors, spt))
 
-        self.current_cylinder = int(
-            mech.geometry.cylinder_of_lba(req.lba + req.sectors - 1)
-        )
+        self.current_cylinder = mech.geometry.cylinder_of(req.lba + req.sectors - 1)
         self._last_end_lba = req.lba + req.sectors
         if self.cache is not None:
             self.cache.fill(req.lba, req.sectors)

@@ -7,6 +7,7 @@ is one of the performance-variation sources the experiments exercise.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,15 @@ class DiskGeometry:
         self._zone_sector_starts = np.array(starts, dtype=np.int64)
         self._zone_cyl_los = np.array([z.cyl_lo for z in zones], dtype=np.int64)
         self._zone_spts = np.array([z.sectors_per_track for z in zones], dtype=np.int64)
+        # Plain-list twins for the scalar lookups: one LBA per call is the
+        # event engine's shape, where numpy's per-call cost dominates.
+        self._sector_starts = [int(s) for s in starts]
+        self._cyl_los = [int(z.cyl_lo) for z in zones]
+        self._sectors_per_cyl = [int(heads * z.sectors_per_track) for z in zones]
 
     @property
     def total_sectors(self) -> int:
-        return int(self._zone_sector_starts[-1])
+        return self._sector_starts[-1]
 
     @property
     def capacity_bytes(self) -> int:
@@ -83,6 +89,17 @@ class DiskGeometry:
         if np.any((lba < 0) | (lba >= self.total_sectors)):
             raise ValueError("LBA out of range")
         return np.searchsorted(self._zone_sector_starts, lba, side="right") - 1
+
+    def _zone_of(self, lba: int) -> int:
+        """Zone index of one LBA (the scalar form of :meth:`zone_index_of_lba`)."""
+        if lba < 0 or lba >= self._sector_starts[-1]:
+            raise ValueError("LBA out of range")
+        return bisect_right(self._sector_starts, lba) - 1
+
+    def cylinder_of(self, lba: int) -> int:
+        """Cylinder holding one LBA (the scalar form of :meth:`cylinder_of_lba`)."""
+        zi = self._zone_of(lba)
+        return self._cyl_los[zi] + (lba - self._sector_starts[zi]) // self._sectors_per_cyl[zi]
 
     def cylinder_of_lba(self, lba) -> np.ndarray:
         """Cylinder holding each LBA (vectorised)."""
@@ -105,9 +122,9 @@ class DiskGeometry:
     def locate(self, lba: int) -> tuple[int, int, int]:
         """Return (cylinder, head, sector-in-track) for a single LBA."""
         lba = int(lba)
-        zi = int(self.zone_index_of_lba(lba))
+        zi = self._zone_of(lba)
         z = self.zones[zi]
-        off = lba - int(self._zone_sector_starts[zi])
+        off = lba - self._sector_starts[zi]
         per_cyl = self.heads * z.sectors_per_track
         cyl = z.cyl_lo + off // per_cyl
         rem = off % per_cyl
@@ -119,9 +136,10 @@ class DiskGeometry:
         """Number of track boundaries crossed by a contiguous transfer."""
         if sectors <= 0:
             return 0
-        zi = int(self.zone_index_of_lba(lba))
+        lba = int(lba)
+        zi = self._zone_of(lba)
         spt = self.zones[zi].sectors_per_track
-        off = lba - int(self._zone_sector_starts[zi])
+        off = lba - self._sector_starts[zi]
         first = off // spt
         last = (off + sectors - 1) // spt
         return int(last - first)

@@ -94,15 +94,9 @@ class DiskMechanics:
         Inlines :meth:`seek_time` without its ``d <= 0`` guard — the draw
         is always >= 1 cylinder, so the values are identical.
         """
-        s = self.spec
         if n == 1:
-            # Scalar fast path (fully-sequential streams position exactly
-            # once per access): a scalar bounded draw consumes the bit
-            # stream identically to size=1, math.sqrt is the same
-            # correctly-rounded float64 sqrt, and the expression keeps the
-            # array path's operand order, so the value is bit-identical.
-            d = float(rng.integers(1, s.locality_span_cylinders + 1))
-            return np.array([s.seek_base_s + s.seek_sqrt_s * math.sqrt(d) + s.seek_linear_s * d])
+            return np.array([self.draw_local_seek(rng)])
+        s = self.spec
         d = rng.integers(1, s.locality_span_cylinders + 1, size=n)
         # In-place over the sqrt temporary; float addition is commutative
         # bit-for-bit, so the regrouping is exact.
@@ -111,6 +105,19 @@ class DiskMechanics:
         t += s.seek_base_s
         t += s.seek_linear_s * d
         return t
+
+    def draw_local_seek(self, rng: np.random.Generator) -> float:
+        """One local seek time: ``sample_local_seek(rng, 1)[0]`` as a float.
+
+        Fully-sequential streams position exactly once per access, so the
+        single draw is the common case.  A scalar bounded draw consumes the
+        bit stream identically to size=1, math.sqrt is the same
+        correctly-rounded float64 sqrt, and the expression keeps the array
+        path's operand order, so the value is bit-identical.
+        """
+        s = self.spec
+        d = float(rng.integers(1, s.locality_span_cylinders + 1))
+        return s.seek_base_s + s.seek_sqrt_s * math.sqrt(d) + s.seek_linear_s * d
 
     def sample_rotational_latency(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Uniform(0, one revolution) rotational delays."""
@@ -182,7 +189,7 @@ class DiskMechanics:
         """
         t = self.spec.controller_overhead_s
         if not positioned:
-            t += float(self.sample_local_seek(rng, 1)[0])
+            t += self.draw_local_seek(rng)
             t += float(self.sample_rotational_latency(rng, 1)[0])
         t += float(self.transfer_time(sectors, sectors_per_track))
         return t

@@ -38,8 +38,11 @@ class RequestQueue:
 
     def cancel(self, predicate: Callable[[Any], bool]) -> list[Any]:
         """Remove and return all queued requests matching ``predicate``."""
-        hit = [r for r in self._items if predicate(r)]
-        self._items = [r for r in self._items if not predicate(r)]
+        hit: list[Any] = []
+        keep: list[Any] = []
+        for r in self._items:
+            (hit if predicate(r) else keep).append(r)
+        self._items = keep
         self.cancelled_total += len(hit)
         return hit
 
@@ -99,22 +102,53 @@ class FairShareQueue(RequestQueue):
     drive alternates service between the two classes whenever both have
     pending work, matching the interleaving the dissertation's experiments
     assume (§6.2.2, §6.3.2).
+
+    Items without an ``is_background`` attribute are foreground, and an
+    item must not change class while queued: the queue counts its
+    background requests as they come and go, so when only one class is
+    queued a pop serves the head without scanning for the other.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._turn_background = False
+        self._n_background = 0
+
+    def push(self, request: Any) -> None:
+        # RequestQueue.push inlined: this is once per submitted request.
+        items = self._items
+        items.append(request)
+        if len(items) > self.max_depth:
+            self.max_depth = len(items)
+        if getattr(request, "is_background", False):
+            self._n_background += 1
 
     def pop(self, head_cylinder: int = 0) -> Any:
-        if not self._items:
+        items = self._items
+        if not items:
             raise IndexError("pop from empty queue")
-        want_bg = self._turn_background
-        for preferred in (want_bg, not want_bg):
-            for i, r in enumerate(self._items):
-                if bool(getattr(r, "is_background", False)) == preferred:
-                    self._turn_background = not preferred
-                    return self._items.pop(i)
-        raise AssertionError("unreachable")
+        n_bg = self._n_background
+        if n_bg == 0 or n_bg == len(items):
+            # One class queued: its head is next whichever turn it is.
+            served_bg = n_bg > 0
+            request = items.pop(0)
+        else:
+            served_bg = self._turn_background
+            request = items.pop(
+                next(i for i, r in enumerate(items) if _is_background(r) == served_bg)
+            )
+        self._n_background -= served_bg
+        self._turn_background = not served_bg
+        return request
+
+    def cancel(self, predicate: Callable[[Any], bool]) -> list[Any]:
+        hit = super().cancel(predicate)
+        self._n_background -= sum(map(_is_background, hit))
+        return hit
+
+
+def _is_background(request: Any) -> bool:
+    return bool(getattr(request, "is_background", False))
 
 
 SCHEDULERS: dict[str, type[RequestQueue]] = {

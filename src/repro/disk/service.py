@@ -65,6 +65,18 @@ class BackgroundLoad:
         xfer = float(mechanics.transfer_time(self.sectors, spt))
         return t + rot + xfer
 
+    def sample_service(
+        self, mechanics: DiskMechanics, spt: int, rng: np.random.Generator
+    ) -> float:
+        """Draw one background request service time.
+
+        Bit-identical to ``sample_services(1, ...)[0]``, with the same
+        stream consumption (one ``random()``), without the array round-trip.
+        """
+        rot = rng.random() * mechanics.spec.rotation_period_s
+        xfer = float(mechanics.transfer_time(self.sectors, spt))
+        return mechanics.spec.controller_overhead_s + rot + xfer
+
     def mean_service(self, mechanics: DiskMechanics, spt: int) -> float:
         return (
             mechanics.spec.controller_overhead_s
@@ -137,6 +149,8 @@ class BlockService:
         """Sample the stand-alone service time of ``n_blocks`` data blocks."""
         if n_blocks == 0:
             return np.empty(0, dtype=np.float64)
+        if n_blocks == 1:
+            return np.array([self._one_block_service(block_bytes)])
         mech = self.mechanics
         spec = mech.spec
         sectors, n_req, xfer = self._block_params(block_bytes)
@@ -164,6 +178,27 @@ class BlockService:
         total_pos += n_req * spec.controller_overhead_s
         total_pos += xfer
         return total_pos
+
+    def _one_block_service(self, block_bytes: int) -> float:
+        """The ``n_blocks == 1`` case of :meth:`block_service_times`.
+
+        Same draws in the same order (one binomial, then every seek, then
+        every rotation) and the same float operations: ``bincount`` sums a
+        block's positioning draws left to right from 0.0, which is what
+        ``cumsum`` does, and a single draw needs no sum at all.
+        """
+        mech = self.mechanics
+        rng = self.rng
+        _, n_req, xfer = self._block_params(block_bytes)
+        total = int(rng.binomial(n_req, 1.0 - self.layout.p_sequential)) + 1
+        if total == 1:
+            pos = mech.draw_local_seek(rng)
+            pos += rng.random() * mech.spec.rotation_period_s
+        else:
+            draws = mech.sample_local_seek(rng, total)
+            draws += mech.sample_rotational_latency(rng, total)
+            pos = float(draws.cumsum()[-1])
+        return pos + n_req * mech.spec.controller_overhead_s + xfer
 
     def standalone_bandwidth(self, block_bytes: int = 1 << 20, n_blocks: int = 256) -> float:
         """Monte-Carlo mean bandwidth (bytes/s) without background load."""

@@ -14,13 +14,17 @@ Writes:
   read/write/raw x {no faults, storm}
   (:func:`tests.test_golden_schemes.build_scheme_reference`);
 * ``golden_repair.json`` — the repair-economy grid under the pinned
-  storm seed (:func:`tests.test_repair_golden.build_repair_reference`).
+  storm seed (:func:`tests.test_repair_golden.build_repair_reference`);
+* ``golden_event.json`` — every composition's read and write results on
+  the event-driven engine across {no background, heterogeneous
+  background, storm} (:func:`tests.test_golden_event.build_event_reference`).
 """
 
 import json
 import pathlib
 
 from tests.test_faults_golden import build_fault_reference
+from tests.test_golden_event import build_event_reference
 from tests.test_golden_schemes import build_scheme_reference
 from tests.test_obs_tracer import build_reference_tracer
 from tests.test_repair_golden import build_repair_reference
@@ -45,4 +49,8 @@ if __name__ == "__main__":
 
     path = data / "golden_repair.json"
     path.write_text(json.dumps(build_repair_reference(), indent=1) + "\n")
+    print(f"wrote {path}")
+
+    path = data / "golden_event.json"
+    path.write_text(json.dumps(build_event_reference(), indent=1) + "\n")
     print(f"wrote {path}")

@@ -58,6 +58,13 @@ class TestPrimitiveEquivalences:
         assert got.tolist() == ref
         _assert_lockstep(a, b)
 
+    def test_scalar_binomial_equals_size_one(self):
+        # The single-block service path draws its binomial as a scalar.
+        a, b = _pair(3)
+        for n_req in (1, 16, 256):
+            assert a.binomial(n_req, 0.5) == b.binomial(n_req, 0.5, size=1)[0]
+        _assert_lockstep(a, b)
+
     def test_batch_binomial_equals_scalar_sequence(self):
         a, b = _pair(8)
         got = a.binomial(16, 0.3, size=32)
