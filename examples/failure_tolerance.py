@@ -9,9 +9,10 @@ the lost redundancy onto the survivors (§5.3.1 disaster recovery).
 Run:  python examples/failure_tolerance.py
 """
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core import RobuStoreScheme
-from repro.core.access import MB, AccessConfig
+from repro.core.pipeline import scheme_class
 from repro.core.repair import repair_file
 from repro.experiments.extensions import ext_failures
 from repro.sim.rng import RngHub
@@ -33,7 +34,7 @@ def main() -> None:
     print("\nrebuilding the lost redundancy (repair subsystem):")
     cluster = Cluster(n_disks=32)
     hub = RngHub(99)
-    scheme = RobuStoreScheme(
+    scheme = scheme_class("robustore")(
         cluster,
         AccessConfig(data_bytes=128 * MB, n_disks=16, redundancy=3.0),
         hub=hub,

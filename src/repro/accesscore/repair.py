@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.faults.inject import surviving_blocks
 
-#: Trigger fraction used when a scheme declares no floor of its own
-#: (matches :class:`repro.core.policy.reaction.Respeculate`'s default).
+#: Default trigger fraction: the initial value of every scheme's
+#: ``REPAIR_REDUNDANCY_FLOOR`` (:class:`repro.core.pipeline.PolicyScheme`).
 DEFAULT_REPAIR_FLOOR = 0.5
 
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.accesscore.result import AccessConfig, AccessResult
+    from repro.accesscore.trackers import CompletionTracker
     from repro.cluster.metadata import FileRecord
-    from repro.core.access import AccessConfig, AccessResult
-    from repro.core.base import SchemeBase
+    from repro.core.pipeline import PolicyScheme
     from repro.core.policy.compose import SchemeSpec
-    from repro.core.trackers import CompletionTracker
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class DispatchPolicy(Protocol):
 
     def read(
         self,
-        scheme: "SchemeBase",
+        scheme: "PolicyScheme",
         spec: "SchemeSpec",
         record: "FileRecord",
         plan: ReadPlan,
@@ -85,20 +85,20 @@ class CompletionPolicy(Protocol):
     wants_order: bool
 
     def tracker(
-        self, scheme: "SchemeBase", record: "FileRecord", plan: ReadPlan
+        self, scheme: "PolicyScheme", record: "FileRecord", plan: ReadPlan
     ) -> "CompletionTracker":
         """A fresh per-access tracker."""
         ...
 
     def finish(
-        self, scheme: "SchemeBase", tracker: "CompletionTracker", t_fill: float
+        self, scheme: "PolicyScheme", tracker: "CompletionTracker", t_fill: float
     ) -> tuple[float, float]:
         """(access completion time, cancel time) for fill time ``t_fill``."""
         ...
 
     def extras(
         self,
-        scheme: "SchemeBase",
+        scheme: "PolicyScheme",
         tracker: "CompletionTracker",
         t_fill: float,
         t_done: float,
@@ -114,21 +114,21 @@ class CompletionPolicy(Protocol):
 class FaultReaction(Protocol):
     """What mid-operation faults do to the access."""
 
-    def plan_read(self, scheme: "SchemeBase", record: "FileRecord"):
+    def plan_read(self, scheme: "PolicyScheme", record: "FileRecord"):
         """A :class:`ReadPlan` — or a finished :class:`AccessResult` when
         the reaction already knows the read's fate (RAID-5's unrecoverable
         double failure)."""
         ...
 
     def on_stall(
-        self, scheme: "SchemeBase", streams: list, trial: int, file_name: str,
+        self, scheme: "PolicyScheme", streams: list, trial: int, file_name: str,
         t_fill: float,
     ):
         """Second-round streams after a stalled read, or ``None``."""
         ...
 
     def annotate(
-        self, scheme: "SchemeBase", record: "FileRecord", extra: dict,
+        self, scheme: "PolicyScheme", record: "FileRecord", extra: dict,
         t_done: float, t0: float,
     ) -> None:
         """Post-access bookkeeping on the result extras (repair flags)."""
@@ -139,5 +139,5 @@ class WritePolicy(Protocol):
     """How a write commits blocks and registers the resulting record."""
 
     def write(
-        self, scheme: "SchemeBase", spec: "SchemeSpec", file_name: str, trial: int
+        self, scheme: "PolicyScheme", spec: "SchemeSpec", file_name: str, trial: int
     ) -> "AccessResult": ...

@@ -59,12 +59,6 @@ class Respeculate(PassiveReaction):
     #: The event-driven wrapper keys its second-round machinery off this.
     respeculates = True
 
-    #: When permanent fail-stops push a file's surviving redundancy below
-    #: this fraction of the configured degree, reads flag the file for a
-    #: background rebuild (``extra["repair_triggered"]``;
-    #: :func:`repro.faults.inject.maybe_repair` acts on it).
-    REPAIR_REDUNDANCY_FLOOR = 0.5
-
     def retry_targets(self, scheme, pending, t_retry_floor, t0):
         """Resolve where and when a second round can go.
 
@@ -141,10 +135,9 @@ class Respeculate(PassiveReaction):
         )
 
     def annotate(self, scheme, record, extra, t_done, t0):
-        floor = getattr(
-            scheme, "REPAIR_REDUNDANCY_FLOOR", self.REPAIR_REDUNDANCY_FLOOR
+        return annotate_repair(
+            scheme, record, extra, t_done, t0, scheme.REPAIR_REDUNDANCY_FLOOR
         )
-        return annotate_repair(scheme, record, extra, t_done, t0, floor)
 
 
 class DegradedParityRead(PassiveReaction):

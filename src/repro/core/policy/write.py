@@ -110,8 +110,7 @@ class SpeculativeRatelessWrite:
     #: Rateless supply multiplier: each disk can commit up to this factor
     #: times its fair share N/H before running dry.  Must cover the
     #: fastest-to-average disk speed ratio (~4-6x in the calibrated pool)
-    #: so fast disks never idle mid-write (§5.3.2).  Schemes may override
-    #: via a ``WRITE_SUPPLY_FACTOR`` class attribute.
+    #: so fast disks never idle mid-write (§5.3.2).
     WRITE_SUPPLY_FACTOR = 8
 
     def supply_plan(self, scheme, trial):
@@ -126,8 +125,7 @@ class SpeculativeRatelessWrite:
         disks = scheme.select_disks(trial)
         h = len(disks)
         target = cfg.n_coded
-        supply = getattr(scheme, "WRITE_SUPPLY_FACTOR", self.WRITE_SUPPLY_FACTOR)
-        per_disk_cap = -(-target * supply // h) + 8
+        per_disk_cap = -(-target * self.WRITE_SUPPLY_FACTOR // h) + 8
         graph = pooled_graph(
             cfg.k,
             per_disk_cap * h,

@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.accesscore.repair import DEFAULT_REPAIR_FLOOR, repair_trigger_state
-from repro.accesscore.timeline import finalize_read, serve_read_queues
+from repro.accesscore.repair import repair_trigger_state
+from repro.accesscore.timeline import finalize_read, serve_read_queues, simulate_uniform_write
 from repro.coding.lt import ImprovedLTCode
-from repro.core.access import simulate_uniform_write
-from repro.core.robustore import RobuStoreScheme
+from repro.core.pipeline import PolicyScheme
 from repro.rebuild import RepairEvent, RepairTask
 
 
@@ -91,7 +90,7 @@ class RepairDecision:
         return bool(self.reports)
 
 
-def failed_positions(scheme: RobuStoreScheme, file_name: str) -> list[int]:
+def failed_positions(scheme: PolicyScheme, file_name: str) -> list[int]:
     """Placement positions whose disks are currently failed.
 
     Covers both per-trial erasure state (``DiskState.failed``) and disks a
@@ -356,7 +355,7 @@ def _repair_regenerating(
 
 
 def repair_file(
-    scheme: RobuStoreScheme, file_name: str, trial: int
+    scheme: PolicyScheme, file_name: str, trial: int
 ) -> RepairReport:
     """Rebuild the redundancy a failure destroyed.
 
@@ -434,8 +433,7 @@ def maybe_repair(
     if ledger is None:
         ledger = getattr(scheme.cluster, "repair_ledger", None)
     if triggered is None:
-        floor = getattr(scheme, "REPAIR_REDUNDANCY_FLOOR", DEFAULT_REPAIR_FLOOR)
-        state = repair_trigger_state(scheme, record, floor)
+        state = repair_trigger_state(scheme, record, scheme.REPAIR_REDUNDANCY_FLOOR)
         if state is None:
             return RepairDecision(False, "no-faults", (), float("nan"))
         surv, triggered = state

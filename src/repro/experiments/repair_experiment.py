@@ -39,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.access import MB, AccessConfig
 from repro.core.pipeline import scheme_class
 from repro.core.repair import drain_repairs
 from repro.experiments import config as C

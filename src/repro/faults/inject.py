@@ -9,7 +9,7 @@ topology and hangs the resulting :class:`FaultInjector` off
   :class:`repro.faults.timeline.DiskTimeline`, so queue completion times
   are warped in closed form (fail-stop -> ``inf``, slowdown -> stretch,
   recovery -> resume);
-* the access machinery (:mod:`repro.core.access`) routes request and
+* the access machinery (:mod:`repro.accesscore`) routes request and
   response instants through the per-filer
   :class:`repro.faults.timeline.LinkTimeline`;
 * schemes consult :meth:`down_at` / :meth:`first_recovery_after` /

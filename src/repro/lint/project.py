@@ -9,16 +9,16 @@ need to see through that:
 * **corpus discovery** — linting any file under a ``repro`` package
   pulls the *whole* package into the analysis corpus, so cross-module
   resolution works even for partial path arguments;
-* **module naming** — ``src/repro/core/access.py`` becomes
-  ``repro.core.access`` (paths are mapped at the ``repro`` component, so
+* **module naming** — ``src/repro/accesscore/timeline.py`` becomes
+  ``repro.accesscore.timeline`` (paths are mapped at the ``repro`` component, so
   fixture trees under ``tmp/src/repro/...`` analyse identically);
 * a **module-qualified symbol table** — top-level functions, classes
   (with methods), assignments, imports, ``from``-imports, ``__all__``;
 * an **import graph** and transitive re-export resolution (``from
-  repro.core.raid0 import Raid0Scheme`` in ``core/__init__`` resolves
-  consumers of ``repro.core.Raid0Scheme`` to the defining module);
+  repro.core.pipeline import PolicyScheme`` in ``core/__init__`` resolves
+  consumers of ``repro.core.PolicyScheme`` to the defining module);
 * a **call graph** keyed by qualified function names
-  (``repro.core.access:Access.run`` / ``repro.util.helpers:_now``),
+  (``repro.core.pipeline:PolicyScheme.read`` / ``repro.util.helpers:_now``),
   resolved conservatively: direct names, module-attribute chains,
   ``self``/``cls`` method calls within a class, and implicit
   enclosing->nested edges for closures.  Unresolvable calls (duck-typed
@@ -51,7 +51,7 @@ SIM_CRITICAL_PACKAGES = (
 def module_name_for(path: Path) -> Optional[str]:
     """Dotted module name for a file under a ``repro`` package root.
 
-    ``.../repro/core/access.py`` -> ``repro.core.access``;
+    ``.../repro/accesscore/timeline.py`` -> ``repro.accesscore.timeline``;
     ``.../repro/core/__init__.py`` -> ``repro.core``; files outside a
     ``repro`` tree (tests, benchmarks, examples) return ``None`` — they
     participate in the corpus as import *consumers* only.
@@ -174,7 +174,7 @@ def _collect_module(name: str, ctx: FileContext) -> ModuleInfo:
                 bound = alias.asname or alias.name.split(".")[0]
                 info.imports[bound] = alias.name if alias.asname else alias.name.split(".")[0]
                 if alias.asname is None:
-                    # ``import repro.core.access`` binds ``repro`` but makes
+                    # ``import repro.accesscore.timeline`` binds ``repro`` but makes
                     # the full dotted chain resolvable.
                     info.imports.setdefault(alias.name, alias.name)
         else:
@@ -346,7 +346,7 @@ class ProjectContext:
         """Longest prefix of ``names`` that denotes a corpus module.
 
         Returns ``(module_name, consumed)`` or ``None``.  Handles plain
-        dotted imports (``repro.core.access``), aliases (``import x as
+        dotted imports (``repro.accesscore.timeline``), aliases (``import x as
         y``) and module-binding ``from``-imports (``from repro import
         core``).
         """

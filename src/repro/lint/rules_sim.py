@@ -326,7 +326,7 @@ def _has_early_return_guard(func: ast.AST, call: ast.Call) -> bool:
     """True if a ``if not tracer.enabled: return`` precedes ``call``.
 
     Only top-level statements of the enclosing function are considered —
-    the idiom used throughout ``core/access.py``.
+    the idiom used throughout ``accesscore/tracing.py``.
     """
     body = getattr(func, "body", [])
     for stmt in body:

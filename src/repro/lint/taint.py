@@ -260,6 +260,6 @@ class TaintAnalysis:
 
 
 def short_name(qualname: str) -> str:
-    """``repro.core.access:Access.run`` -> ``access.Access.run``."""
+    """``repro.core.pipeline:PolicyScheme.read`` -> ``pipeline.PolicyScheme.read``."""
     module, _, fn = qualname.partition(":")
     return f"{module.rsplit('.', 1)[-1]}.{fn}"

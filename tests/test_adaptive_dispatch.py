@@ -26,12 +26,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.accesscore.result import AccessResult
-from repro.accesscore.routing import request_arrival_time, response_arrival_times
+from repro.accesscore.result import AccessConfig, AccessResult
+from repro.accesscore.routing import MB, request_arrival_time, response_arrival_times
 from repro.accesscore.timeline import consume_sorted_arrivals
 from repro.accesscore.tracing import trace_read_summary
-from repro.core.access import MB, AccessConfig
-from repro.core.base import SchemeBase
+from repro.core.pipeline import PolicyScheme
 from repro.core.policy import dispatch
 from repro.core.policy.dispatch import AdaptiveDispatch
 from repro.disk.service import BlockService
@@ -472,7 +471,7 @@ def _engine(reference: bool):
 def _recording_generators():
     """Collect every service and phase generator schemes hand out."""
     generators: list[np.random.Generator] = []
-    original = SchemeBase.service_rng_factory
+    original = PolicyScheme.service_rng_factory
 
     def recording(self, trial, phase):
         rng_for = original(self, trial, phase)
@@ -489,11 +488,11 @@ def _recording_generators():
         wrapped.phase_rng_for = record(rng_for.phase_rng_for)
         return wrapped
 
-    SchemeBase.service_rng_factory = recording
+    PolicyScheme.service_rng_factory = recording
     try:
         yield generators
     finally:
-        SchemeBase.service_rng_factory = original
+        PolicyScheme.service_rng_factory = original
 
 
 def _run(plan: TrialPlan, name: str, reference: bool):

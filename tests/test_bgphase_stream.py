@@ -5,7 +5,7 @@ stream's initial phase from ``self.rng`` — the *service* stream — which
 silently interleaved one extra uniform into every background-bearing
 disk's service draws and was invisible to the SIM011 stream discipline.
 The fix threads a dedicated ``phase_rng`` (derived from the hub's
-``"bgphase"`` stream by :meth:`repro.core.base.SchemeBase.service_rng_factory`)
+``"bgphase"`` stream by :meth:`repro.core.pipeline.PolicyScheme.service_rng_factory`)
 down through :meth:`repro.cluster.server.Cluster.block_service`.
 
 This file pins (a) the exact legacy↔new stream relationship, (b) the
@@ -16,7 +16,8 @@ affected end-to-end values, as a regression golden.
 import numpy as np
 import pytest
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.service import BackgroundLoad, BlockService
 from repro.disk.workload import InDiskLayout
@@ -116,10 +117,10 @@ class TestClusterLaziness:
         """service_rng_factory exposes the sibling "bgphase" factory with
         the same key tail as the service stream."""
         from repro.cluster.server import Cluster
-        from repro.core.base import SchemeBase
+        from repro.core.pipeline import PolicyScheme
 
         hub = RngHub(5)
-        scheme = SchemeBase(
+        scheme = PolicyScheme(
             Cluster(n_disks=8, disks_per_filer=4),
             AccessConfig(data_bytes=8 * MB, block_bytes=MB, n_disks=4),
             hub=hub,

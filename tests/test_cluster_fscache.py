@@ -106,7 +106,8 @@ def test_contains_does_not_touch_counters_or_lru():
 # lines collide in a set, and so survive the aging window, depends on hash().
 _RAW_RUN = """
 import json
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.experiments.harness import TrialPlan, run_scheme
 access = AccessConfig(data_bytes=8 * MB, block_bytes=MB, n_disks=4, redundancy=2.0)
 plan = TrialPlan(access=access, mode="raw", background="heterogeneous",

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
 from repro.coding.xorblocks import random_blocks
-from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
+from repro.core.pipeline import scheme_class
 from repro.core.codecs import CODECS, codec_for
 from repro.sim.rng import RngHub
 
@@ -16,7 +17,7 @@ CFG = AccessConfig(data_bytes=8 * MB, block_bytes=1 * MB, n_disks=4, redundancy=
 def make_record(scheme_name):
     cluster = Cluster(n_disks=8)
     hub = RngHub(23)
-    scheme = SCHEMES[scheme_name](cluster, CFG, hub=hub)
+    scheme = scheme_class(scheme_name)(cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", 0))
     return scheme.prepare("f", 0)
 

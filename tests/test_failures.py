@@ -10,9 +10,10 @@ mid-read cases the redraw-based injection never could.
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
+from repro.core.pipeline import scheme_class
 from repro.disk.mechanics import DiskMechanics
 from repro.disk.service import BlockService, served_before
 from repro.disk.workload import InDiskLayout
@@ -48,7 +49,7 @@ def kill_plan(disks, at=0.0, duration=None):
 def run_with_plan(name, plan, trial=0):
     cluster = Cluster(n_disks=8, rtt_s=0.001)
     hub = RngHub(9)
-    scheme = SCHEMES[name](cluster, CFG, hub=hub)
+    scheme = scheme_class(name)(cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", trial))
     cluster.install_faults(plan)
     scheme.prepare("f", trial)
@@ -85,7 +86,7 @@ def _prepare_then_fail(name, positions, trial=0):
     """Fail the disks at specific *placement positions* (rotation-aware)."""
     cluster = Cluster(n_disks=8, rtt_s=0.001)
     hub = RngHub(9)
-    scheme = SCHEMES[name](cluster, CFG, hub=hub)
+    scheme = scheme_class(name)(cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", trial))
     record = scheme.prepare("f", trial)
     cluster.install_faults(kill_plan(record.disk_ids[p] for p in positions))

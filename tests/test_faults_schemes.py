@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
+from repro.core.pipeline import scheme_class
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.faults import FaultPlan, maybe_repair
 from repro.sim.rng import RngHub
@@ -20,7 +21,7 @@ def run_with_plan(name, plan, trial=0, mode="read"):
     """One access on an 8-disk cluster with a fault plan installed."""
     cluster = Cluster(n_disks=8, rtt_s=0.001)
     hub = RngHub(9)
-    scheme = SCHEMES[name](cluster, CFG, hub=hub)
+    scheme = scheme_class(name)(cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", trial))
     cluster.install_faults(plan)
     if mode == "write":

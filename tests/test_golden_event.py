@@ -13,7 +13,8 @@ a diff here.  Regenerate deliberately with
 import json
 import pathlib
 
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.core.policy.compose import COMPOSITIONS
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.faults import FaultPlan

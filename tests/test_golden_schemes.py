@@ -1,11 +1,12 @@
 """Differential goldens: the policy refactor must be bit-identical.
 
-The golden file pins every registered scheme's complete ``AccessResult``
-(including ``extra``) for read, write and raw accesses, with no faults and
-under the reference fault storm of :mod:`tests.test_faults_golden`.  It was
-generated at the pre-refactor seed commit; any numeric drift introduced by
-the placement/dispatch/completion/reaction decomposition shows up as a
-diff here.  Regenerate deliberately with
+The golden file pins the complete ``AccessResult`` (including ``extra``)
+of each of the paper's seven schemes for read, write and raw accesses,
+with no faults and under the reference fault storm of
+:mod:`tests.test_faults_golden`.  It was generated at the pre-refactor
+seed commit; any numeric drift introduced by the
+placement/dispatch/completion/reaction decomposition shows up as a diff
+here.  Regenerate deliberately with
 ``PYTHONPATH=src python -m tests.make_golden``.
 """
 
@@ -14,13 +15,20 @@ import pathlib
 
 import numpy as np
 
-from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.experiments.harness import TrialPlan, run_scheme
 from repro.faults import FaultPlan
 from tests.test_faults_golden import STORM_SCENARIO
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_schemes.json"
+
+#: The paper's schemes and the Fig 2-2 / §5.2.1 baselines: the first seven
+#: entries of ``COMPOSITIONS`` (the cross-products are covered by
+#: ``tests/test_policy_matrix.py``).
+SCHEMES = (
+    "raid0", "rraid-s", "rraid-a", "robustore", "raid5", "raid0+1", "robustore-rs",
+)
 
 CFG = AccessConfig(data_bytes=32 * MB, block_bytes=1 * MB, n_disks=8, redundancy=3.0)
 MODES = ("read", "write", "raw")

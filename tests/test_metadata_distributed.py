@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.metadata import FileLockedError, FileRecord
 from repro.cluster.metadata_distributed import DistributedMetadataServer
 from repro.cluster.server import Cluster
-from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
+from repro.core.pipeline import scheme_class
 from repro.sim.rng import RngHub
 
 
@@ -98,7 +99,7 @@ def test_schemes_run_on_distributed_metadata():
     cluster = Cluster(n_disks=8)
     hub = RngHub(1)
     md = make()
-    scheme = SCHEMES["robustore"](cluster, cfg, hub=hub, metadata=md)
+    scheme = scheme_class("robustore")(cluster, cfg, hub=hub, metadata=md)
     cluster.redraw_disk_states(hub.fresh("env", 0))
     scheme.prepare("f", 0)
     r = scheme.read("f", 0)

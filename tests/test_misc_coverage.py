@@ -4,9 +4,10 @@ calibration formatting)."""
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.access import MB, AccessConfig
-from repro.core.base import SchemeBase
+from repro.core.pipeline import PolicyScheme
 from repro.disk.calibration import CalibrationCell, format_table, grid_statistics
 from repro.experiments import config as C
 from repro.sim.rng import RngHub
@@ -32,20 +33,18 @@ class TestExperimentConfig:
         assert C.ALL_SCHEMES == ("raid0", "rraid-s", "rraid-a", "robustore")
 
 
-class TestSchemeBase:
-    def test_abstract_methods_raise(self):
+class TestPolicyScheme:
+    def test_bare_scheme_has_no_composition(self):
         cluster = Cluster(n_disks=4)
-        base = SchemeBase(cluster, AccessConfig(data_bytes=4 * MB, n_disks=4), hub=RngHub(0))
-        with pytest.raises(NotImplementedError):
+        base = PolicyScheme(cluster, AccessConfig(data_bytes=4 * MB, n_disks=4), hub=RngHub(0))
+        with pytest.raises(AttributeError):
             base.prepare("f", 0)
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(AttributeError):
             base.write("f", 0)
-        with pytest.raises(NotImplementedError):
-            base.read("f", 0)
 
     def test_select_disks_deterministic_per_trial(self):
         cluster = Cluster(n_disks=16)
-        base = SchemeBase(cluster, AccessConfig(data_bytes=4 * MB, n_disks=4), hub=RngHub(1))
+        base = PolicyScheme(cluster, AccessConfig(data_bytes=4 * MB, n_disks=4), hub=RngHub(1))
         a = base.select_disks(3).tolist()
         b = base.select_disks(3).tolist()
         assert a == b  # trial-keyed, not stateful
@@ -53,7 +52,7 @@ class TestSchemeBase:
 
     def test_service_rng_factory_streams_differ(self):
         cluster = Cluster(n_disks=4)
-        base = SchemeBase(cluster, AccessConfig(data_bytes=4 * MB, n_disks=4), hub=RngHub(2))
+        base = PolicyScheme(cluster, AccessConfig(data_bytes=4 * MB, n_disks=4), hub=RngHub(2))
         f = base.service_rng_factory(0, "read")
         assert f(0).random() != f(1).random()
         g = base.service_rng_factory(0, "write")

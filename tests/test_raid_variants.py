@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
+from repro.accesscore.trackers import PARITY_BASE
 from repro.cluster.server import Cluster
-from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
-from repro.core.raid5 import PARITY_BASE, Raid5Scheme
+from repro.core.pipeline import scheme_class
+from repro.core.policy.placement import ParityStripePlacement
 from repro.sim.rng import RngHub
 
 CFG = AccessConfig(data_bytes=32 * MB, block_bytes=1 * MB, n_disks=8, redundancy=3.0)
@@ -15,7 +17,7 @@ CFG = AccessConfig(data_bytes=32 * MB, block_bytes=1 * MB, n_disks=8, redundancy
 def make(name, trial=0, failed=None, seed=21):
     cluster = Cluster(n_disks=8, rtt_s=0.001)
     hub = RngHub(seed)
-    scheme = SCHEMES[name](cluster, CFG, hub=hub)
+    scheme = scheme_class(name)(cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", trial), failed_disks=failed)
     record = scheme.prepare("f", trial)
     return cluster, hub, scheme, record
@@ -72,18 +74,16 @@ class TestRaid5:
     def test_write_includes_parity_overhead(self):
         cluster = Cluster(n_disks=8)
         hub = RngHub(3)
-        scheme = SCHEMES["raid5"](cluster, CFG, hub=hub)
+        scheme = scheme_class("raid5")(cluster, CFG, hub=hub)
         cluster.redraw_disk_states(hub.fresh("env", 0))
         r = scheme.write("f", 0)
         assert r.network_bytes > CFG.data_bytes
         assert r.io_overhead == pytest.approx(1 / 7, abs=0.05)
 
     def test_needs_two_disks(self):
-        cluster = Cluster(n_disks=8)
         cfg1 = AccessConfig(data_bytes=4 * MB, n_disks=1)
-        scheme = Raid5Scheme(cluster, cfg1, hub=RngHub(0))
         with pytest.raises(ValueError):
-            scheme._layout(1)
+            ParityStripePlacement.layout(cfg1.k, 1)
 
 
 class TestRaid01:
@@ -122,7 +122,7 @@ class TestRaid01:
     def test_write_doubles_bytes(self):
         cluster = Cluster(n_disks=8)
         hub = RngHub(4)
-        scheme = SCHEMES["raid0+1"](cluster, CFG, hub=hub)
+        scheme = scheme_class("raid0+1")(cluster, CFG, hub=hub)
         cluster.redraw_disk_states(hub.fresh("env", 0))
         r = scheme.write("f", 0)
         assert r.network_bytes == 2 * CFG.data_bytes

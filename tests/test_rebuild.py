@@ -9,8 +9,9 @@ correctly-priced events on the ledger.
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core.access import MB, AccessConfig
 from repro.core.pipeline import scheme_class
 from repro.core.repair import drain_repairs
 from repro.faults import FaultPlan, maybe_repair

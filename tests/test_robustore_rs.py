@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
-from repro.core.robustore_rs import (
-    GroupedRSTracker,
-    RobuStoreRSScheme,
-    rs_decode_bandwidth_bps,
-)
+from repro.accesscore.trackers import GroupedRSTracker
+from repro.core.pipeline import scheme_class
+from repro.core.policy.compose import composition
+from repro.core.policy.placement import rs_decode_bandwidth_bps
 from repro.sim.rng import RngHub
 
 CFG = AccessConfig(data_bytes=64 * MB, block_bytes=1 * MB, n_disks=16, redundancy=2.0)
@@ -38,7 +37,7 @@ def test_tracker_requires_every_group():
 def test_read_completes_with_decode_tail():
     cluster = Cluster(n_disks=32)
     hub = RngHub(13)
-    scheme = SCHEMES["robustore-rs"](cluster, CFG, hub=hub)
+    scheme = scheme_class("robustore-rs")(cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", 0))
     record = scheme.prepare("f", 0)
     assert record.coding["algorithm"] == "reed-solomon"
@@ -53,7 +52,7 @@ def test_rs_variant_slower_than_lt():
     for name in ("robustore", "robustore-rs"):
         cluster = Cluster(n_disks=32)
         hub = RngHub(13)
-        scheme = SCHEMES[name](cluster, CFG, hub=hub)
+        scheme = scheme_class(name)(cluster, CFG, hub=hub)
         cluster.redraw_disk_states(hub.fresh("env", 0))
         scheme.prepare("f", 0)
         lats[name] = scheme.read("f", 0).latency_s
@@ -62,6 +61,5 @@ def test_rs_variant_slower_than_lt():
 
 def test_group_capped_at_256_coded():
     cfg = AccessConfig(data_bytes=64 * MB, n_disks=8, redundancy=9.0)
-    scheme = RobuStoreRSScheme(Cluster(n_disks=8), cfg, hub=RngHub(0))
-    group, n_groups, coded = scheme._grouping()
+    group, n_groups, coded = composition("robustore-rs").placement.grouping(cfg)
     assert coded <= 256

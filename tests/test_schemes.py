@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.accesscore.result import AccessConfig
+from repro.accesscore.routing import MB
 from repro.cluster.server import Cluster
-from repro.core import SCHEMES
-from repro.core.access import MB, AccessConfig
+from repro.core.pipeline import scheme_class
 from repro.disk.workload import InDiskLayout
 from repro.sim.rng import RngHub
+from tests.test_golden_schemes import SCHEMES
 
 CFG = AccessConfig(data_bytes=64 * MB, block_bytes=1 * MB, n_disks=16, redundancy=3.0)
 
@@ -15,7 +17,7 @@ CFG = AccessConfig(data_bytes=64 * MB, block_bytes=1 * MB, n_disks=16, redundanc
 def run_read(name, trial=0, cfg=CFG, layout=None, n_pool=32, rtt=0.001, fixed_zone=None):
     cluster = Cluster(n_disks=n_pool, rtt_s=rtt)
     hub = RngHub(42)
-    scheme = SCHEMES[name](cluster, cfg, hub=hub)
+    scheme = scheme_class(name)(cluster, cfg, hub=hub)
     cluster.redraw_disk_states(
         hub.fresh("env", name, trial), layout=layout, fixed_zone=fixed_zone
     )
@@ -26,12 +28,12 @@ def run_read(name, trial=0, cfg=CFG, layout=None, n_pool=32, rtt=0.001, fixed_zo
 def run_write(name, trial=0, cfg=CFG, n_pool=32):
     cluster = Cluster(n_disks=n_pool, rtt_s=0.001)
     hub = RngHub(42)
-    scheme = SCHEMES[name](cluster, cfg, hub=hub)
+    scheme = scheme_class(name)(cluster, cfg, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", name, trial))
     return scheme, scheme.write("f", trial)
 
 
-@pytest.mark.parametrize("name", list(SCHEMES))
+@pytest.mark.parametrize("name", SCHEMES)
 def test_read_completes_and_reports(name):
     r = run_read(name)
     assert np.isfinite(r.latency_s) and r.latency_s > 0
@@ -39,7 +41,7 @@ def test_read_completes_and_reports(name):
     assert r.bandwidth_mbps > 0
 
 
-@pytest.mark.parametrize("name", list(SCHEMES))
+@pytest.mark.parametrize("name", SCHEMES)
 def test_write_completes(name):
     _, r = run_write(name)
     assert np.isfinite(r.latency_s) and r.latency_s > 0
@@ -115,7 +117,7 @@ def test_read_after_write_roundtrip():
     """RaW: read the unbalanced placement a speculative write produced."""
     cluster = Cluster(n_disks=32, rtt_s=0.001)
     hub = RngHub(7)
-    scheme = SCHEMES["robustore"](cluster, CFG, hub=hub)
+    scheme = scheme_class("robustore")(cluster, CFG, hub=hub)
     cluster.redraw_disk_states(hub.fresh("env", 0))
     scheme.write("f", 0)
     cluster.redraw_disk_states(hub.fresh("env", 1))  # dynamic performance
@@ -141,4 +143,4 @@ def test_determinism_same_seed_same_result():
 def test_scheme_rejects_oversized_disk_request():
     cluster = Cluster(n_disks=8)
     with pytest.raises(ValueError):
-        SCHEMES["raid0"](cluster, AccessConfig(n_disks=16))
+        scheme_class("raid0")(cluster, AccessConfig(n_disks=16))
