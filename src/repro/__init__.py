@@ -6,7 +6,7 @@ Subpackages
     Generator-based discrete-event simulation kernel.
 ``repro.coding``
     Erasure codes: LT (with the dissertation's improvements), Reed-Solomon,
-    parity, replication, Tornado, Raptor, plus closed-form analysis.
+    product-matrix regenerating codes, plus closed-form analysis.
 ``repro.disk``
     DiskSim-like block-level hard-drive model and workload generators.
 ``repro.net``
@@ -24,7 +24,7 @@ Subpackages
     Event tracing: spans/counters on the simulated clock, Chrome trace
     export, aggregated trace reports.
 ``repro.lint``
-    Simulator-aware static analysis (rules SIM001-SIM006) enforcing the
+    Simulator-aware static analysis (rules SIM001-SIM013) enforcing the
     determinism conventions; the runtime complement is the DES causality
     sanitizer in ``repro.sim`` (``REPRO_SANITIZE=1``).
 """

@@ -32,9 +32,8 @@ def striped(n_blocks: int, n_disks: int) -> Placement:
 def rotated_replicas(k: int, replicas: int, n_disks: int) -> Placement:
     """Replica ``r`` of block ``i`` on disk ``(i + r) mod H`` (§6.2.1).
 
-    Coded-block id convention matches
-    :class:`repro.coding.replication.ReplicationCode`: replica ``r`` of
-    block ``i`` is id ``r * k + i``.
+    Coded-block ids: replica ``r`` of block ``i`` is id ``r * k + i``,
+    so the original block an id carries is ``id % k``.
     """
     if n_disks < 1 or replicas < 1:
         raise ValueError("need at least one disk and one replica")

@@ -191,9 +191,3 @@ def scheme_class(name: str) -> type[PolicyScheme]:
             "__doc__": f"Composition {name!r} (see COMPOSITIONS).",
         },
     )
-
-
-def redundancy_for(name: str, configured: float) -> float:
-    """The redundancy a scheme actually runs at (RAID-0 pins 0.0)."""
-    override = composition(name).redundancy_override
-    return configured if override is None else override

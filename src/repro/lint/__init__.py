@@ -13,7 +13,7 @@ enforces those conventions with a small AST-based rule engine:
   conventions can be enforced with a single function.  File rules see
   one :class:`FileContext` at a time; project rules (``project=True``)
   see a whole-program :class:`repro.lint.project.ProjectContext` with
-  import/call graphs, enabling interprocedural checks (SIM010-SIM012).
+  import/call graphs, enabling interprocedural checks (SIM010-SIM013).
 * Findings are cached under ``.repro-cache/lint/`` keyed by rule set
   and file contents; unchanged repeat runs replay instantly.
 

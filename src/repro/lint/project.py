@@ -3,7 +3,7 @@
 The per-file rules (SIM001-SIM009) are blind across module boundaries: a
 one-line wrapper (``def _now(): return time.time()`` in a utils module,
 called from ``core/``) launders wall-clock reads past the entire rule
-set.  This module builds what the interprocedural rules (SIM010-SIM012)
+set.  This module builds what the interprocedural rules (SIM010-SIM013)
 need to see through that:
 
 * **corpus discovery** — linting any file under a ``repro`` package
@@ -237,6 +237,7 @@ class ProjectContext:
             self._index_functions(mod)
         for mod in self.modules.values():
             self._index_calls(mod)
+        self._imports_of: dict[int, tuple[set[str], set[tuple[str, str]]]] = {}
         self._taint = None
         self._stream_registry_loaded = False
         self._stream_registry = None
@@ -261,6 +262,76 @@ class ProjectContext:
             deps.discard(mod.name)
             graph[mod.name] = deps
         return graph
+
+    def imports_of(self, ctx: FileContext) -> tuple[set[str], set[tuple[str, str]]]:
+        """What one corpus file imports (memoised): modules, symbols used.
+
+        Returns ``(modules, uses)``.  ``modules`` holds the corpus modules
+        bound by ``import a.b`` / ``import a.b as x``; ``uses`` holds every
+        ``(module, symbol)`` named by ``from m import s``, ``from m import
+        *`` (credits all of ``m.__all__``) or an ``alias.attr`` chain on an
+        imported corpus module.
+        """
+        hit = self._imports_of.get(id(ctx))
+        if hit is not None:
+            return hit
+        uses: set[tuple[str, str]] = set()
+        consumer = module_name_for(ctx.path)
+        # Local alias -> corpus module, for attribute-chain uses.
+        aliases: dict[str, str] = {}
+        dotted_imports: set[str] = set()
+        for node in ctx.walk((ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname is not None:
+                        if alias.name in self.modules:
+                            aliases[alias.asname] = alias.name
+                    else:
+                        dotted_imports.add(alias.name)
+                continue
+            src = node.module or ""
+            if node.level:  # relative import inside the corpus
+                if consumer is None:
+                    continue
+                mod = self.modules.get(consumer)
+                if mod is None:
+                    continue
+                src = _resolve_relative(mod, node.level, node.module)
+            for alias in node.names:
+                if alias.name == "*":
+                    star_mod = self.modules.get(src)
+                    if star_mod is not None:
+                        for exported, _line in star_mod.dunder_all:
+                            uses.add((src, exported))
+                        if not star_mod.dunder_all:
+                            for sym in star_mod.symbols:
+                                uses.add((src, sym))
+                    continue
+                uses.add((src, alias.name))
+                if f"{src}.{alias.name}" in self.modules:
+                    aliases[alias.asname or alias.name] = f"{src}.{alias.name}"
+        # Attribute chains: ``alias.sym`` / ``repro.core.sym``.
+        for node in ctx.walk((ast.Attribute,)):
+            names = _attr_chain(node)
+            if names is None or len(names) < 2:
+                continue
+            for k in range(len(names) - 1, 0, -1):
+                head = ".".join(names[:k])
+                target = aliases.get(head) if k == 1 and names[0] in aliases else None
+                if target is None and (
+                    head in self.modules
+                    and any(
+                        d == head or d.startswith(head + ".") for d in dotted_imports
+                    )
+                ):
+                    target = head
+                if target is not None:
+                    uses.add((target, names[k]))
+                    break
+        modules = {m for m in dotted_imports if m in self.modules}
+        modules.update(aliases.values())
+        self._imports_of[id(ctx)] = (modules, uses)
+        return modules, uses
 
     # -- function indexing ------------------------------------------------
     def _index_functions(self, mod: ModuleInfo) -> None:

@@ -1,4 +1,4 @@
-"""Whole-program rules (SIM010-SIM012).
+"""Whole-program rules (SIM010-SIM013).
 
 These are the interprocedural complement to SIM001-SIM009: they run once
 per lint run over a :class:`repro.lint.project.ProjectContext` instead
@@ -22,15 +22,27 @@ of per file, so they see through module boundaries.
   that names a symbol the module does not define, or that no other
   module, test, benchmark or example ever imports, marks a back-compat
   shim that has drifted to garbage.
+* **SIM013** *(warning)* — unreachable modules.  A ``repro`` module that
+  no experiment (``repro.experiments.*``), ``__main__``/``cli`` entry
+  point or ``benchmarks/`` file imports, directly or transitively, backs
+  no figure, table or benchmark: only tests and examples keep it alive.
+  Package re-exports resolve to the defining module, so a facade's
+  import does not reach everything it re-exports.  ``SIM013_ALLOWLIST``
+  names the exceptions, each with the reason it stays.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.lint.engine import Severity, rule
-from repro.lint.project import SIM_CRITICAL_PACKAGES, ProjectContext, _attr_chain
+from repro.lint.project import (
+    SIM_CRITICAL_PACKAGES,
+    ProjectContext,
+    _attr_chain,
+    module_name_for,
+)
 from repro.lint.taint import short_name
 
 # ---------------------------------------------------------------------------
@@ -172,64 +184,11 @@ def _export_uses(project: ProjectContext) -> set[tuple[str, str]]:
     """Every ``(module, symbol)`` imported or attribute-accessed anywhere.
 
     Scans the *whole* corpus — repro modules, tests, benchmarks,
-    examples — for ``from m import s``, ``from m import *`` (credits all
-    of ``m.__all__``) and ``alias.attr`` chains on imported modules.
+    examples — through :meth:`ProjectContext.imports_of`.
     """
-    from repro.lint.project import _resolve_relative, module_name_for
-
     uses: set[tuple[str, str]] = set()
     for resolved in sorted(project.files, key=str):
-        ctx = project.files[resolved]
-        consumer = module_name_for(ctx.path)
-        # Local alias -> corpus module, for attribute-chain uses.
-        aliases: dict[str, str] = {}
-        dotted_imports: set[str] = set()
-        for node in ctx.walk((ast.Import, ast.ImportFrom)):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname is not None:
-                        if alias.name in project.modules:
-                            aliases[alias.asname] = alias.name
-                    else:
-                        dotted_imports.add(alias.name)
-                continue
-            src = node.module or ""
-            if node.level:  # relative import inside the corpus
-                if consumer is None:
-                    continue
-                mod = project.modules.get(consumer)
-                if mod is None:
-                    continue
-                src = _resolve_relative(mod, node.level, node.module)
-            for alias in node.names:
-                if alias.name == "*":
-                    star_mod = project.modules.get(src)
-                    if star_mod is not None:
-                        for exported, _line in star_mod.dunder_all:
-                            uses.add((src, exported))
-                        if not star_mod.dunder_all:
-                            for sym in star_mod.symbols:
-                                uses.add((src, sym))
-                    continue
-                uses.add((src, alias.name))
-                if f"{src}.{alias.name}" in project.modules:
-                    aliases[alias.asname or alias.name] = f"{src}.{alias.name}"
-        # Attribute chains: ``alias.sym`` / ``repro.core.sym``.
-        for node in ctx.walk((ast.Attribute,)):
-            names = _attr_chain(node)
-            if names is None or len(names) < 2:
-                continue
-            for k in range(len(names) - 1, 0, -1):
-                head = ".".join(names[:k])
-                target = aliases.get(head) if k == 1 and names[0] in aliases else None
-                if target is None and (
-                    head in project.modules
-                    and any(d == head or d.startswith(head + ".") for d in dotted_imports)
-                ):
-                    target = head
-                if target is not None:
-                    uses.add((target, names[k]))
-                    break
+        uses |= project.imports_of(project.files[resolved])[1]
     return uses
 
 
@@ -293,3 +252,152 @@ def check_dead_exports(project: ProjectContext) -> Iterator:
                     "(back-compat shim drift?); drop it or add coverage "
                     "that imports it",
                 )
+
+
+# ---------------------------------------------------------------------------
+# SIM013 — unreachable modules
+
+#: Modules that no experiment, ``__main__``/``cli`` module or benchmark
+#: reaches but that stay, each with the reason it stays.  A stale entry
+#: (the module is reached after all) is reported too, so the list only
+#: ever names real exceptions.
+SIM013_ALLOWLIST = {
+    "repro.core.access": (
+        "the MB/AccessConfig import path of perfbench/, which is not "
+        "linted; it goes with the next change to the benchmark"
+    ),
+    "repro.coding.regenerating": (
+        "the byte-level product-matrix codes that perfbench's fleet "
+        "workload times (perfbench/ is not linted) and repro.core.codecs "
+        "decodes with"
+    ),
+    "repro.core.api": (
+        "the real-bytes file API, kept as the decode oracle the trackers "
+        "are to be checked against"
+    ),
+    "repro.core.codecs": (
+        "the real-bytes codecs behind repro.core.api, kept for the same "
+        "tracker oracle"
+    ),
+}
+
+
+def _is_entry_point(mod) -> bool:
+    """A ``__main__``/``cli`` module or one with a ``__main__`` guard."""
+    if mod.name.rpartition(".")[2] in ("__main__", "cli"):
+        return True
+    for node in mod.ctx.tree.body:
+        test = node.test if isinstance(node, ast.If) else None
+        if (
+            isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Name)
+            and test.left.id == "__name__"
+            and any(
+                isinstance(c, ast.Constant) and c.value == "__main__"
+                for c in test.comparators
+            )
+        ):
+            return True
+    return False
+
+
+def _import_edges(project: ProjectContext, ctx, facade: bool) -> set[str]:
+    """Corpus modules that importing ``ctx`` runs.
+
+    A symbol import runs every module along its re-export chain down to
+    the one that defines it.  A package ``__init__`` (``facade``) only
+    re-exports: its symbol imports count when a consumer uses the
+    symbol, so only its submodule imports (registration side effects)
+    are edges of its own.
+    """
+    modules, uses = project.imports_of(ctx)
+    edges = set(modules)
+    for src, sym in uses:
+        if f"{src}.{sym}" in project.modules:
+            edges.add(f"{src}.{sym}")
+        elif not facade:
+            chain = _origin_chain(project, src, sym)
+            edges.update(m for m, _ in chain if m in project.modules)
+    return edges
+
+
+def _reached_modules(project: ProjectContext) -> Optional[set[str]]:
+    """Modules imported, transitively, from an experiment, CLI or benchmark.
+
+    ``None`` when the corpus has no such root to measure against.
+    """
+    stack = [
+        name
+        for name, mod in project.modules.items()
+        if mod.top_package == "experiments" or _is_entry_point(mod)
+    ]
+    for path in sorted(project.files, key=str):
+        ctx = project.files[path]
+        if "benchmarks" in ctx.path.parts and module_name_for(ctx.path) is None:
+            stack.extend(_import_edges(project, ctx, False))
+    if not stack:
+        return None
+    reached: set[str] = set()
+    while stack:
+        name = stack.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        mod = project.modules[name]
+        # Importing a submodule runs every enclosing package first.
+        parent = name.rpartition(".")[0]
+        if parent in project.modules:
+            stack.append(parent)
+        stack.extend(_import_edges(project, mod.ctx, mod.is_package))
+    return reached
+
+
+@rule(
+    "SIM013",
+    Severity.WARNING,
+    "modules no experiment, __main__/cli module or benchmark reaches",
+    repro_only=True,
+    project=True,
+)
+def check_unreachable_modules(project: ProjectContext) -> Iterator:
+    reached = _reached_modules(project)
+    if reached is None:
+        return  # no experiment, CLI or benchmark in this corpus
+    unreached = {
+        name
+        for name, mod in project.modules.items()
+        if name not in reached and not mod.is_package
+    }
+    importers: dict[str, set[str]] = {name: set() for name in unreached}
+    for path in sorted(project.files, key=str):
+        ctx = project.files[path]
+        facade = ctx.path.name == "__init__.py"
+        label = module_name_for(ctx.path) or f"{ctx.path.parent.name}/{ctx.path.name}"
+        for name in _import_edges(project, ctx, facade) & unreached:
+            importers[name].add(label)
+    for name in sorted(project.modules):
+        path = str(project.modules[name].ctx.path)
+        reason = SIM013_ALLOWLIST.get(name)
+        if name in unreached and reason is None:
+            seen = sorted(importers[name])
+            via = (
+                f"only {', '.join(seen[:3])}{', ...' if len(seen) > 3 else ''} "
+                "import it"
+                if seen
+                else "nothing imports it"
+            )
+            yield (
+                path,
+                1,
+                f"{name} is reached by no experiment, __main__/cli module or "
+                f"benchmark ({via}); delete it with the tests and examples "
+                "that exist only for it, wire it into an experiment, or add "
+                "it to SIM013_ALLOWLIST with the reason it stays",
+            )
+        elif name in reached and reason is not None:
+            yield (
+                path,
+                1,
+                f"{name} is in SIM013_ALLOWLIST but an experiment, CLI or "
+                "benchmark now reaches it; drop the stale entry",
+            )

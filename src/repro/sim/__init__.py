@@ -23,7 +23,7 @@ Example
 from repro.sim.calendar import EventCalendar
 from repro.sim.core import Environment, Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Store
 from repro.sim.rng import RngHub
 
 __all__ = [
@@ -33,9 +33,7 @@ __all__ = [
     "EventCalendar",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
-    "Resource",
     "RngHub",
     "SimulationError",
     "Store",

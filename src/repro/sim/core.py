@@ -119,10 +119,6 @@ class Environment:
         proc = self._active_proc.name if self._active_proc is not None else "<none>"
         return f" (active process={proc}, t={self._now})"
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_proc
-
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
         """Create a new pending event."""

@@ -39,20 +39,6 @@ def test_qos_planning(capsys):
     assert "simulated:" in out
 
 
-def test_codes_playground(capsys):
-    run_example("codes_playground.py")
-    out = capsys.readouterr().out
-    assert "Reed-Solomon" in out
-    assert "LT (improved)" in out
-
-
-def test_trace_replay(capsys):
-    run_example("trace_replay.py")
-    out = capsys.readouterr().out
-    assert "fcfs" in out and "sstf" in out
-    assert "Replay under different disk schedulers" in out
-
-
 def test_failure_tolerance(capsys):
     run_example("failure_tolerance.py")
     out = capsys.readouterr().out

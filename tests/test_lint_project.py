@@ -1,4 +1,4 @@
-"""Tests for the whole-program lint layer (SIM010-SIM012) and the cache.
+"""Tests for the whole-program lint layer (SIM010-SIM013) and the cache.
 
 Fixture trees are built under ``tmp_path`` with a real ``repro`` package
 root, so module naming, corpus expansion and cross-module resolution run
@@ -12,6 +12,8 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.lint import Severity, lint_paths, run_lint
 from repro.lint.engine import iter_py_files
@@ -383,6 +385,75 @@ def test_sim012_module_getattr_is_not_drift(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# SIM013 — unreachable modules
+
+#: An experiment reaches ``used`` through the package facade; ``orphan``
+#: is imported only by a test and an example (and re-exported by the
+#: facade, which must not count); ``plugins`` is reached only as a
+#: package side-effect import; ``api`` is on the allowlist.
+UNREACHABLE = {
+    "src/repro/__init__.py": "",
+    "src/repro/codes/__init__.py": (
+        "from repro.codes.used import keep\n"
+        "from repro.codes.orphan import drop\n"
+        "from repro.codes import plugins\n"
+    ),
+    "src/repro/codes/used.py": "def keep():\n    return 1\n",
+    "src/repro/codes/orphan.py": "def drop():\n    return 2\n",
+    "src/repro/codes/plugins.py": "REGISTERED = True\n",
+    "src/repro/core/__init__.py": "",
+    "src/repro/core/api.py": "def read():\n    return 3\n",
+    "src/repro/experiments/__init__.py": "",
+    "src/repro/experiments/fig.py": "from repro.codes import keep\n",
+    "tests/test_orphan.py": "from repro.codes.orphan import drop\n",
+    "examples/demo.py": "from repro.codes import drop\n",
+}
+
+
+def _sim013(tmp_path, files):
+    _write_tree(tmp_path, files)
+    dirs = [tmp_path / d for d in ("src", "tests", "examples", "benchmarks")]
+    return lint_paths([d for d in dirs if d.exists()], ["SIM013"])
+
+
+def test_sim013_flags_a_module_only_tests_and_examples_reach(tmp_path):
+    (finding,) = _sim013(tmp_path, UNREACHABLE)
+    assert finding.severity is Severity.WARNING
+    assert finding.path.endswith("codes/orphan.py")
+    assert "repro.codes.orphan is reached by no experiment" in finding.message
+    assert "only examples/demo.py, tests/test_orphan.py import it" in finding.message
+
+
+def test_sim013_benchmark_and_entry_point_imports_are_roots(tmp_path):
+    files = dict(UNREACHABLE)
+    files["benchmarks/bench_codes.py"] = "from repro.codes import drop\n"
+    assert _sim013(tmp_path, files) == []
+    files = dict(UNREACHABLE)
+    files["src/repro/tool/__init__.py"] = ""
+    files["src/repro/tool/report.py"] = (
+        "from repro.codes.orphan import drop\n"
+        "\n"
+        "if __name__ == '__main__':\n"
+        "    drop()\n"
+    )
+    assert _sim013(tmp_path / "guarded", files) == []
+
+
+def test_sim013_silent_without_any_root(tmp_path):
+    files = {k: v for k, v in UNREACHABLE.items() if "experiments" not in k}
+    assert _sim013(tmp_path, files) == []
+
+
+def test_sim013_reports_a_stale_allowlist_entry(tmp_path):
+    files = dict(UNREACHABLE)
+    files["src/repro/experiments/fig.py"] = (
+        "from repro.codes import keep\nfrom repro.core.api import read\n"
+    )
+    messages = [f.message for f in _sim013(tmp_path, files)]
+    assert any("repro.core.api is in SIM013_ALLOWLIST" in m for m in messages)
+
+
+# ---------------------------------------------------------------------------
 # engine plumbing: dedupe, scoping metadata, JSON v2
 
 
@@ -492,14 +563,25 @@ def test_repo_self_check_sim010_sim011_clean():
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
-def test_repo_self_check_sim012_no_dead_exports():
-    findings = lint_paths(
+@pytest.fixture(scope="module")
+def repo_whole_program_findings():
+    """One SIM012+SIM013 run over everything CI lints."""
+    return lint_paths(
         [
             REPO_ROOT / "src",
             REPO_ROOT / "tests",
             REPO_ROOT / "benchmarks",
             REPO_ROOT / "examples",
         ],
-        ["SIM012"],
+        ["SIM012", "SIM013"],
     )
+
+
+def test_repo_self_check_sim012_no_dead_exports(repo_whole_program_findings):
+    findings = [f for f in repo_whole_program_findings if f.rule == "SIM012"]
+    assert findings == [], "\n".join(f.render() for f in findings)
+
+
+def test_repo_self_check_sim013_every_module_reached(repo_whole_program_findings):
+    findings = [f for f in repo_whole_program_findings if f.rule == "SIM013"]
     assert findings == [], "\n".join(f.render() for f in findings)

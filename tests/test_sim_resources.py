@@ -1,101 +1,8 @@
-"""Tests for resources and stores."""
+"""Tests for the unbounded FIFO store."""
 
-import pytest
+import math
 
-from repro.sim import Environment, PriorityResource, Resource, Store
-
-
-def test_resource_serialises_access():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    log = []
-
-    def user(env, tag, hold):
-        with res.request() as req:
-            yield req
-            log.append((tag, env.now, "in"))
-            yield env.timeout(hold)
-            log.append((tag, env.now, "out"))
-
-    env.process(user(env, "a", 2))
-    env.process(user(env, "b", 1))
-    env.run()
-    assert log == [
-        ("a", 0.0, "in"),
-        ("a", 2.0, "out"),
-        ("b", 2.0, "in"),
-        ("b", 3.0, "out"),
-    ]
-
-
-def test_resource_capacity_two_admits_pair():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    entered = []
-
-    def user(env, tag):
-        with res.request() as req:
-            yield req
-            entered.append((tag, env.now))
-            yield env.timeout(1)
-
-    for tag in "abc":
-        env.process(user(env, tag))
-    env.run()
-    assert entered == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
-def test_queued_request_can_be_cancelled():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    got = []
-
-    def holder(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(10)
-
-    def impatient(env):
-        req = res.request()
-        yield env.timeout(1)
-        req.cancel()  # withdraw before being granted
-        got.append("gave up")
-
-    env.process(holder(env))
-    env.process(impatient(env))
-    env.run()
-    assert got == ["gave up"]
-    assert res.count == 0
-
-
-def test_priority_resource_orders_waiters():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def waiter(env, tag, prio, delay):
-        yield env.timeout(delay)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(tag)
-            yield env.timeout(1)
-
-    env.process(holder(env))
-    env.process(waiter(env, "low", 5, 1))
-    env.process(waiter(env, "high", 1, 2))
-    env.run()
-    assert order == ["high", "low"]
+from repro.sim import Environment, Store
 
 
 def test_store_fifo():
@@ -119,52 +26,40 @@ def test_store_fifo():
     assert got == [(1.0, 0), (2.0, 1), (3.0, 2)]
 
 
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield store.put("a")
-        log.append(("a in", env.now))
-        yield store.put("b")
-        log.append(("b in", env.now))
-
-    def consumer(env):
-        yield env.timeout(4)
-        item = yield store.get()
-        log.append((f"got {item}", env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert ("a in", 0.0) in log
-    assert ("b in", 4.0) in log
-
-
-def test_store_filter_items_removes_cancelled():
-    env = Environment()
-    store = Store(env)
-    for i in range(5):
-        store.put(i)
-    removed = store.filter_items(lambda x: x % 2 == 0)
-    assert removed == [1, 3]
-    assert store.items == [0, 2, 4]
-
-
-def test_store_cancel_get():
-    env = Environment()
-    store = Store(env)
-    ev = store.get()
-    store.cancel_get(ev)
-    store.put("x")
-    # The cancelled getter must not consume the item.
-    assert store.items == ["x"]
-
-
 def test_store_len():
     env = Environment()
     store = Store(env)
     assert len(store) == 0
     store.put(1)
     assert len(store) == 1
+
+
+def test_put_schedules_nothing_of_its_own():
+    """A put costs no kernel step: only a waiting getter's event is queued."""
+    env = Environment()
+    store = Store(env)
+    assert store.put("a") is None
+    assert env.peek() == math.inf  # buffered; nothing on the calendar
+    assert store.items == ["a"]
+
+    waiting = Store(env)
+    getter = waiting.get()
+    assert env.peek() == math.inf  # the getter waits, unscheduled
+    waiting.put("b")
+    assert env.peek() < math.inf  # the getter's event, due now
+    env.step()  # the getter's event fires with the item...
+    assert getter.processed and getter.value == "b"
+    assert env.peek() == math.inf  # ...and it was the only event queued
+    assert waiting.items == []
+
+
+def test_getters_are_served_in_arrival_order():
+    env = Environment()
+    store = Store(env)
+    first, second = store.get(), store.get()
+    store.put("x")
+    store.put("y")
+    store.put("z")
+    env.run()
+    assert (first.value, second.value) == ("x", "y")
+    assert store.items == ["z"]
