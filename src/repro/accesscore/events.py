@@ -151,7 +151,7 @@ def build_drives(
     env: Environment, scheme, disk_ids, trial: int
 ) -> dict[int, EventDrive]:
     """One :class:`EventDrive` per disk, on the scheme's ``refsvc`` streams."""
-    rng_for = scheme.reference_rng_factory(trial)
+    rng_for = scheme.reference_rng_factory(trial, disk_ids)
     return {
         int(d): EventDrive(
             env, scheme.cluster, int(d), rng_for(int(d)), scheme.config.block_bytes

@@ -63,10 +63,11 @@ class Filer:
         """Boolean mask: which of the requested blocks are fully cached.
 
         Probes without disturbing LRU order (the actual access happens in
-        :meth:`read_access` / :meth:`write_access`).
+        :meth:`read_access` / :meth:`write_access`).  ``block_ids`` is a
+        sized sequence (list or array), as in :meth:`record_read`.
         """
         if self.cache is None:
-            mask = np.zeros(len(list(block_ids)), dtype=bool)
+            mask = np.zeros(len(block_ids), dtype=bool)
         else:
             mask = np.array(
                 [self.cache.contains_line((file_name, int(b))) for b in block_ids],
@@ -82,7 +83,7 @@ class Filer:
         """Blocks served from disk enter the cache; hits refresh LRU."""
         before = self.disk_bytes_read
         if self.cache is None:
-            self.disk_bytes_read += len(list(block_ids)) * block_bytes
+            self.disk_bytes_read += len(block_ids) * block_bytes
         else:
             for b in block_ids:
                 key = (file_name, int(b))

@@ -105,7 +105,10 @@ class Cluster:
             self.servers.append(
                 StorageServer(f, ids, Link(rtt_s=rtt_s), cache, tracer=self.tracer)
             )
+        #: Built per-trial disk states, and the trial's pool-wide draw
+        #: (see :meth:`redraw_disk_states`) the missing ones are built from.
         self._disk_states: dict[int, DiskState] = {}
+        self._draw: tuple | None = None
         #: Active :class:`repro.faults.inject.FaultInjector`, or ``None``.
         self.faults = None
 
@@ -138,8 +141,6 @@ class Cluster:
         ``failed_disks`` never respond to requests.
         """
         zones = self.mechanics.geometry.zones
-        bg = background_intervals or {}
-        failed = failed_disks or set()
         n = self.n_disks
         # Per-disk draw pattern: (bf, p_seq) indices when the layout is
         # heterogeneous, then a zone index when none is pinned.  One
@@ -155,21 +156,34 @@ class Cluster:
         rows = None
         if pat:
             rows = rng.integers(0, np.tile(np.array(pat), n)).reshape(n, len(pat)).tolist()
-        states = self._disk_states
-        for d in range(n):
-            if layout is None:
-                row = rows[d]
-                lay = layout_at(row[0], row[1])
-                zi = fixed_zone if fixed_zone is not None else row[-1]
-            else:
-                lay = layout
-                zi = fixed_zone if fixed_zone is not None else rows[d][0]
-            spt = int(zones[zi].sectors_per_track)
-            load = BackgroundLoad(bg[d]) if d in bg else None
-            states[d] = DiskState(d, lay, spt, load, failed=d in failed)
+        # The whole pool is drawn; a disk's DiskState is built from its row
+        # only when an access first touches it (disk_state).
+        bg = background_intervals or {}
+        loads = {d: BackgroundLoad(v) for d, v in bg.items()}
+        self._draw = (rows, layout, fixed_zone, loads, frozenset(failed_disks or ()))
+        self._disk_states = {}
 
     def disk_state(self, disk_id: int) -> DiskState:
-        return self._disk_states[disk_id]
+        """The disk's state for the current trial (built on first use)."""
+        st = self._disk_states.get(disk_id)
+        if st is None:
+            st = self._disk_states[disk_id] = self._build_state(disk_id)
+        return st
+
+    def _build_state(self, d: int) -> DiskState:
+        """Disk ``d``'s state from the last :meth:`redraw_disk_states` draw."""
+        if self._draw is None or not 0 <= d < self.n_disks:
+            raise KeyError(d)
+        rows, layout, fixed_zone, loads, failed = self._draw
+        if layout is None:
+            row = rows[d]
+            lay = layout_at(row[0], row[1])
+            zi = fixed_zone if fixed_zone is not None else row[-1]
+        else:
+            lay = layout
+            zi = fixed_zone if fixed_zone is not None else rows[d][0]
+        spt = int(self.mechanics.geometry.zones[zi].sectors_per_track)
+        return DiskState(d, lay, spt, loads.get(d), failed=d in failed)
 
     # -- fault injection --------------------------------------------------------
     def install_faults(self, plan) -> None:
@@ -213,7 +227,7 @@ class Cluster:
         derivation costs real hash work, and background-free experiments
         (most of the grid) must not pay it per disk per access.
         """
-        st = self._disk_states[disk_id]
+        st = self.disk_state(disk_id)
         phase_rng = None
         if phase_rng_for is not None and st.background is not None:
             phase_rng = phase_rng_for(disk_id)
@@ -238,12 +252,15 @@ class Cluster:
         from repro.disk.geometry import SECTOR_BYTES
         from repro.disk.workload import BACKGROUND_SECTORS
 
+        # Only the background loads matter here: read them off the trial's
+        # draw rather than building every disk's state.
+        loads = {} if self._draw is None else self._draw[3]
         for server in self.servers:
             volume = 0.0
             for d in server.disk_ids:
-                st = self._disk_states.get(d)
-                if st is not None and st.background is not None:
-                    rate = BACKGROUND_SECTORS * SECTOR_BYTES / st.background.interval_s
+                load = loads.get(d)
+                if load is not None:
+                    rate = BACKGROUND_SECTORS * SECTOR_BYTES / load.interval_s
                     volume += rate * window_s
             server.filer.age_cache(int(volume))
 

@@ -87,8 +87,15 @@ class PolicyScheme:
         rng = self.hub.fresh("select", self.name, trial)
         return self.selector.select(self.config.n_disks, rng)
 
-    def service_rng_factory(self, trial: int, phase: str) -> Callable[[int], np.random.Generator]:
+    def service_rng_factory(
+        self, trial: int, phase: str, disk_ids
+    ) -> Callable[[int], np.random.Generator]:
         """Per-disk service random streams for one access phase.
+
+        ``disk_ids`` are the disks the phase will touch: their streams are
+        primed as one block (:meth:`repro.sim.rng.RngHub.prime`), so each
+        disk's generator costs no hash work of its own.  Any other disk
+        still gets its exact stream.
 
         The returned factory also carries a ``phase_rng_for`` attribute: a
         sibling factory for the disk's background-phase draw (its own
@@ -96,28 +103,36 @@ class PolicyScheme:
         service stream).  Callers probe it with ``getattr`` so hand-rolled
         factories in tests keep the legacy draw-from-service-stream path.
         """
+        hub, name = self.hub, self.name
+        hub.prime("svc", name, trial, phase, disk_ids)
+        hub.prime("bgphase", name, trial, phase, disk_ids)
 
         def rng_for(disk_id: int) -> np.random.Generator:
-            return self.hub.fresh("svc", self.name, trial, phase, disk_id)
+            return hub.fresh("svc", name, trial, phase, disk_id)
 
         def phase_rng_for(disk_id: int) -> np.random.Generator:
-            return self.hub.fresh("bgphase", self.name, trial, phase, disk_id)
+            return hub.fresh("bgphase", name, trial, phase, disk_id)
 
         rng_for.phase_rng_for = phase_rng_for
         return rng_for
 
-    def reference_rng_factory(self, trial: int) -> Callable[[int], np.random.Generator]:
+    def reference_rng_factory(
+        self, trial: int, disk_ids
+    ) -> Callable[[int], np.random.Generator]:
         """Per-disk service streams for the event-driven engine.
 
         A separate stream family (``"refsvc"``) from the closed form's
         ``"svc"``: the DES interleaves foreground and background draws per
         request, so sharing a stream would make the two engines perturb
         each other's draw order.  Keyed by (scheme, trial, disk) — the two
-        engines stay independently reproducible.
+        engines stay independently reproducible.  ``disk_ids`` are primed
+        as one block, as in :meth:`service_rng_factory`.
         """
+        hub, name = self.hub, self.name
+        hub.prime("refsvc", name, trial, disk_ids)
 
         def rng_for(disk_id: int) -> np.random.Generator:
-            return self.hub.fresh("refsvc", self.name, trial, disk_id)
+            return hub.fresh("refsvc", name, trial, disk_id)
 
         return rng_for
 

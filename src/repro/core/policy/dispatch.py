@@ -49,7 +49,7 @@ class SpeculativeDispatch:
             plan.placement,
             cfg.block_bytes,
             t0,
-            scheme.service_rng_factory(trial, "read"),
+            scheme.service_rng_factory(trial, "read", plan.disk_ids),
             record.name,
         )
         tracker = completion.tracker(scheme, record, plan)
@@ -151,7 +151,7 @@ class AdaptiveDispatch:
         disks = plan.disk_ids
         n_runs = len(disks)
         file_name = record.name
-        rng_for = scheme.service_rng_factory(trial, "read")
+        rng_for = scheme.service_rng_factory(trial, "read", disks)
         t0 = scheme.open_latency()
 
         # The placement's adaptive view: round-1 unit ids per disk index,

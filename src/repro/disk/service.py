@@ -154,6 +154,17 @@ class BlockService:
         mech = self.mechanics
         spec = mech.spec
         sectors, n_req, xfer = self._block_params(block_bytes)
+        if self.layout.p_sequential == 1.0:
+            # binomial(n, 0.0) draws nothing, so the general path below
+            # reduces to one seek and one rotation, both on block 0 (whose
+            # bincount sum 0.0 + draw is the draw itself).
+            total_pos = np.zeros(n_blocks, dtype=np.float64)
+            pos = mech.draw_local_seek(self.rng)
+            pos += self.rng.random() * spec.rotation_period_s
+            total_pos[0] = pos
+            total_pos += n_req * spec.controller_overhead_s
+            total_pos += xfer
+            return total_pos
 
         # Positioning events per block: each request positions with
         # probability (1 - p_seq); a fully sequential stream flows across

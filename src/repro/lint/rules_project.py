@@ -14,10 +14,12 @@ of per file, so they see through module boundaries.
   per-file rules, which already point at the offending line — SIM010
   reports only taint that crosses at least one call edge.
 * **SIM011** — RngHub stream discipline.  Every ``hub.stream(...)`` /
-  ``hub.fresh(...)`` call site in the ``repro`` package must use a
-  string-literal stream name declared in the ``STREAMS`` registry
-  (``repro/sim/rng.py``) with a declared key arity, so a typo'd name or
-  a drifted key shape cannot silently fork the RNG universe.
+  ``hub.fresh(...)`` / ``hub.prime(...)`` call site in the ``repro``
+  package must use a string-literal stream name declared in the
+  ``STREAMS`` registry (``repro/sim/rng.py``) with a declared key arity
+  (``prime``'s last part, the block's trailing collection, counts as one
+  key part), so a typo'd name or a drifted key shape cannot silently
+  fork the RNG universe.
 * **SIM012** *(warning)* — dead/drifted exports.  An ``__all__`` entry
   that names a symbol the module does not define, or that no other
   module, test, benchmark or example ever imports, marks a back-compat
@@ -105,8 +107,8 @@ def _arity_text(allowed: tuple[int, ...]) -> str:
 @rule(
     "SIM011",
     Severity.ERROR,
-    "hub.stream()/hub.fresh() names must be string literals from the "
-    "STREAMS registry with the declared key arity",
+    "hub.stream()/hub.fresh()/hub.prime() names must be string literals "
+    "from the STREAMS registry with the declared key arity",
     repro_only=True,
     project=True,
 )
@@ -121,7 +123,7 @@ def check_stream_discipline(project: ProjectContext) -> Iterator:
             func = call.func
             if not (
                 isinstance(func, ast.Attribute)
-                and func.attr in ("stream", "fresh")
+                and func.attr in ("stream", "fresh", "prime")
                 and _is_hub_ref(func.value)
             ):
                 continue
@@ -267,9 +269,11 @@ SIM013_ALLOWLIST = {
         "linted; it goes with the next change to the benchmark"
     ),
     "repro.coding.regenerating": (
-        "the byte-level product-matrix codes that perfbench's fleet "
-        "workload times (perfbench/ is not linted) and repro.core.codecs "
-        "decodes with"
+        "the byte-level product-matrix codes: the oracle for the repair "
+        "traffic core.repair models (tests/test_repair.py checks d*beta "
+        "and k*alpha helper symbols against it), timed by perfbench's "
+        "fleet workload (perfbench/ is not linted) and decoded with by "
+        "repro.core.codecs"
     ),
     "repro.core.api": (
         "the real-bytes file API, kept as the decode oracle the trackers "

@@ -101,7 +101,7 @@ def reference_read(self, scheme, spec, record, plan, trial) -> AccessResult:
     completion = spec.completion
     disks = plan.disk_ids
     file_name = record.name
-    rng_for = scheme.service_rng_factory(trial, "read")
+    rng_for = scheme.service_rng_factory(trial, "read", disks)
     t0 = scheme.open_latency()
 
     # The placement's adaptive view: round-1 unit ids per disk index,
@@ -473,8 +473,8 @@ def _recording_generators():
     generators: list[np.random.Generator] = []
     original = PolicyScheme.service_rng_factory
 
-    def recording(self, trial, phase):
-        rng_for = original(self, trial, phase)
+    def recording(self, trial, phase, disk_ids):
+        rng_for = original(self, trial, phase, disk_ids)
 
         def record(factory):
             def make(disk_id):

@@ -125,11 +125,12 @@ class TestClusterLaziness:
             AccessConfig(data_bytes=8 * MB, block_bytes=MB, n_disks=4),
             hub=hub,
         )
-        rng_for = scheme.service_rng_factory(trial=2, phase="read")
+        rng_for = scheme.service_rng_factory(trial=2, phase="read", disk_ids=[1, 3])
         phase_rng_for = rng_for.phase_rng_for
-        expect = hub.fresh("bgphase", "base", 2, "read", 3)
+        # An unprimed hub derives each stream on its own.
+        expect = RngHub(5).fresh("bgphase", "base", 2, "read", 3)
         assert phase_rng_for(3).random() == expect.random()
-        assert rng_for(3).random() == hub.fresh("svc", "base", 2, "read", 3).random()
+        assert rng_for(3).random() == RngHub(5).fresh("svc", "base", 2, "read", 3).random()
 
 
 class TestRegressionPins:

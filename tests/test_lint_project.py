@@ -263,6 +263,24 @@ def test_sim011_accepts_declared_names_and_arities(tmp_path):
     assert findings == []
 
 
+def test_sim011_checks_prime_blocks(tmp_path):
+    """``hub.prime`` keys obey the registry; the trailing block is one part."""
+    _sim011_tree(
+        tmp_path,
+        "def prime(hub, trial, disk_ids):\n"
+        "    hub.prime('bg', trial, disk_ids)\n"
+        "    hub.prime('dsik', disk_ids)\n"
+        "    hub.prime('bg', disk_ids)\n",
+    )
+    findings = lint_paths(
+        [tmp_path / "src" / "repro" / "core" / "streams.py"], ["SIM011"]
+    )
+    messages = [f.message for f in findings]
+    assert len(findings) == 2
+    assert any("unknown stream name 'dsik'" in m for m in messages)
+    assert any("'bg' key has 2 part(s)" in m and "3 or 4" in m for m in messages)
+
+
 def test_sim011_covers_accesscore_refsvc_stream(tmp_path):
     """The event engine's ``refsvc`` stream obeys the declared arity."""
     _write_tree(

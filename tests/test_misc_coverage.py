@@ -53,9 +53,9 @@ class TestPolicyScheme:
     def test_service_rng_factory_streams_differ(self):
         cluster = Cluster(n_disks=4)
         base = PolicyScheme(cluster, AccessConfig(data_bytes=4 * MB, n_disks=4), hub=RngHub(2))
-        f = base.service_rng_factory(0, "read")
+        f = base.service_rng_factory(0, "read", [0, 1])
         assert f(0).random() != f(1).random()
-        g = base.service_rng_factory(0, "write")
+        g = base.service_rng_factory(0, "write", [0, 1])
         assert f(0).random() != g(0).random()
 
 

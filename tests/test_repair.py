@@ -86,3 +86,54 @@ def test_repair_does_not_mutate_pooled_graph():
     repair_file(scheme, "f", trial=1)
     assert key_graph.n == n_before  # copy-on-repair protected the pool
     assert scheme.metadata.lookup("f").extra["graph"].n > n_before
+
+
+@pytest.mark.parametrize("name", ["regen-msr", "regen-mbr"])
+@pytest.mark.parametrize("failed_count", [1, 2])
+def test_regenerating_repair_traffic_matches_product_matrix_code(
+    monkeypatch, name, failed_count
+):
+    """The product-matrix codec is the oracle for the modelled repair traffic.
+
+    Five disks hold the five nodes of every stripe, so one failed disk
+    leaves ``d`` helpers per stripe (exact regeneration: ``d * beta``
+    symbols per lost node) and two leave only ``k`` (the degraded branch
+    reads ``k`` whole nodes, ``k * alpha`` symbols).
+    """
+    from repro.coding import regenerating
+    from repro.core import repair
+
+    queued = []
+
+    def capture(scheme, record, trial, queues, file_name):
+        queued.extend(b for q in queues for b in q)
+        return real(scheme, record, trial, queues, file_name)
+
+    real = repair._helper_read
+    monkeypatch.setattr(repair, "_helper_read", capture)
+
+    cfg = AccessConfig(data_bytes=32 * MB, block_bytes=MB, n_disks=5, redundancy=2 / 3)
+    cluster = Cluster(n_disks=5)
+    hub = RngHub(3)
+    scheme = scheme_class(name)(cluster, cfg, hub=hub)
+    cluster.redraw_disk_states(hub.fresh("env", 0))
+    record = scheme.prepare("f", 0)
+    failed = {record.disk_ids[p] for p in range(failed_count)}
+    cluster.redraw_disk_states(hub.fresh("env", 0), failed_disks=failed)
+    c = record.coding
+    code = regenerating.product_matrix_code(c["mode"], c["k"], c["d"], c["nodes"])
+    assert c["alpha"] == code.alpha
+    assert c["nodes"] == 5
+
+    repair_file(scheme, "f", trial=1)
+
+    # Each stripe has one node per disk, so it lost ``failed_count`` nodes.
+    alive = c["nodes"] - failed_count
+    if failed_count == 1:
+        assert alive >= code.d
+        expect = failed_count * code.d * code.beta
+    else:
+        assert code.k <= alive < code.d
+        expect = code.k * code.alpha
+    per_stripe = np.bincount([b >> 20 for b in queued], minlength=c["stripes"])
+    assert per_stripe.tolist() == [expect] * c["stripes"]
